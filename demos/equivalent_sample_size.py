@@ -3,9 +3,11 @@
 Smoothed cell estimates (N_ab + n' q_ab) / (N + n') need a value for n',
 the total virtual count. The constraint solved here matches the smoothed
 expectation of the empirical log-ratio field to the bias-adjusted
-information, which pins n' down without cross-validation. The closed-form
-first-order answer is compared against the exact bisection root, and the
-two sides of the constraint are tabulated so the crossing is visible.
+information, which pins n' down without cross-validation. The constraint's
+left side is a weighted average of MI and the prior mean of the log-ratio
+field, so its root has a closed form; the first-order approximation is
+compared against that exact root, and the two sides of the constraint are
+tabulated so the crossing is visible.
 """
 
 import numpy as np
@@ -28,8 +30,8 @@ print("table:")
 print(t.counts)
 print(f"plug-in MI        {mi_plugin(t):.6f}")
 print(f"constraint rhs    {res.rhs:.6f}")
-print(f"exact n'          {res.n_prime_exact:.4f}   ({res.iterations} bisection steps)")
-print(f"closed-form n'    {res.n_prime_approx:.4f}")
+print(f"exact n'          {res.n_prime_exact:.4f}")
+print(f"first-order n'    {res.n_prime_approx:.4f}")
 
 # the two sides of the constraint around the root
 grid = np.linspace(0.0, 25.0, 6)

@@ -14,7 +14,6 @@ experiment harnesses for discretization and feature-selection studies.
 from .ess import (
     EssResult,
     NoRootError,
-    NonConvergenceError,
     SmoothedParams,
     approx_ess,
     constraint_lhs,
@@ -54,9 +53,7 @@ from .numerics import (
     RandomStream,
     bisect_root,
     inv_std_normal_cdf,
-    log_gamma,
     reg_gamma_upper,
-    sample_categorical,
     substream,
 )
 from .ranking import (

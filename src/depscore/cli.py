@@ -11,20 +11,21 @@ one, else on tabs if present, else on whitespace.
 
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
-0 success, 2 usage errors, 3 no-root (equivalent sample size), 4 solver
-non-convergence, 1 other input or domain errors.
+0 success, 2 usage errors, 3 no-root (equivalent sample size), 1 other input
+or domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ess import NonConvergenceError, NoRootError, solve_ess
+from .ess import NoRootError, solve_ess
 from .experiments import (
     DEFAULT_MEASURES,
     ess_constraint_curve,
@@ -42,7 +43,6 @@ REPORT_FIELDS = ("n", "dof", "mi_plugin", "mi_bc", "indep_std", "r_score",
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROOT = 3
-EXIT_NO_CONVERGENCE = 4
 
 
 def _emit(text: str, out_path) -> None:
@@ -120,6 +120,10 @@ class Dataset:
 
     def pair_table(self, name_a: str, name_b: str) -> CountTable:
         ia, ib = self.column(name_a), self.column(name_b)
+        for name, j in ((name_a, ia), (name_b, ib)):
+            if len(self.labels[j]) < 2:
+                raise ValueError(f"column {name!r} has the single label {self.labels[j][0]!r}; "
+                                 "a pair needs at least 2 labels per column")
         return from_samples(
             list(zip(self.columns[ia].tolist(), self.columns[ib].tolist())),
             card_a=len(self.labels[ia]),
@@ -241,34 +245,34 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
+def _read_prior(arg: str):
+    """None for 'uniform', else the weight-table file at ``arg`` normalized."""
+    if arg == "uniform":
+        return None
+    weights = read_count_table(arg).counts.astype(float)
+    return make_prob_table(weights / weights.sum())
+
+
+def _curve_text(table: CountTable, prior, nprime_max: float, points: int,
+                mode: DofMode) -> str:
+    """Both sides of the ESS constraint on an even grid over [0, nprime_max]."""
+    grid = np.linspace(0.0, float(nprime_max), int(points))
+    lhs, rhs = ess_constraint_curve(table, prior, grid, mode)
+    rows = ["n_prime\tlhs\trhs"]
+    rows += [f"{g:g}\t{v!r}\t{rhs!r}" for g, v in zip(grid, lhs)]
+    return "\n".join(rows) + "\n"
+
+
 def _cmd_ess(args) -> int:
     table = read_count_table(args.input)
-    prior = None
-    if args.prior != "uniform":
-        prior_counts = read_count_table(args.prior)
-        weights = prior_counts.counts.astype(float)
-        prior = make_prob_table(weights / weights.sum())
+    prior = _read_prior(args.prior)
     mode = _dof_mode(args)
-    result = solve_ess(table, prior, mode, tol=args.tol)
-    lines = [
-        f"n_prime_exact\t{_fmt(result.n_prime_exact)}",
-        f"n_prime_approx\t{_fmt(result.n_prime_approx)}",
-        f"rhs\t{_fmt(result.rhs)}",
-        f"used_safe_joint\t{_fmt(result.used_safe_joint)}",
-        f"iterations\t{_fmt(result.iterations)}",
-    ]
-    print("\n".join(lines))
+    result = solve_ess(table, prior, mode)
+    print("\n".join(f"{f.name}\t{_fmt(getattr(result, f.name))}" for f in fields(result)))
     if args.curve is not None:
-        grid = np.linspace(0.0, float(args.curve), int(args.curve_points))
-        lhs, rhs = ess_constraint_curve(table, prior, grid, mode)
-        rows = ["n_prime\tlhs\trhs"]
-        rows += [f"{g:g}\t{v!r}\t{rhs!r}" for g, v in zip(grid, lhs)]
-        text = "\n".join(rows) + "\n"
+        _emit(_curve_text(table, prior, args.curve, args.curve_points, mode), args.out)
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
             print(f"# curve written to {args.out}")
-        else:
-            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -332,16 +336,9 @@ def _cmd_experiment(args) -> int:
     if args.name == "ess-curve":
         if not args.input:
             raise ValueError("ess-curve requires --input COUNTFILE")
-        table = read_count_table(args.input)
-        prior = None
-        if args.prior != "uniform":
-            pc = read_count_table(args.prior)
-            prior = make_prob_table(pc.counts / pc.counts.sum())
-        grid = np.linspace(0.0, float(args.nprime_max), int(args.nprime_points))
-        lhs, rhs = ess_constraint_curve(table, prior, grid, mode)
-        rows = ["n_prime\tlhs\trhs"]
-        rows += [f"{g:g}\t{v!r}\t{rhs!r}" for g, v in zip(grid, lhs)]
-        Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        text = _curve_text(read_count_table(args.input), _read_prior(args.prior),
+                           args.nprime_max, args.nprime_points, mode)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
         return EXIT_OK
     raise ValueError(f"unknown experiment {args.name!r}")  # pragma: no cover
@@ -388,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--prior", default="uniform",
                    help="'uniform' or a path to a weight table (default: uniform)")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--curve", type=float, default=None, metavar="NPRIME_MAX",
                    help="also tabulate the constraint over [0, NPRIME_MAX]")
     p.add_argument("--curve-points", type=int, default=101)
@@ -423,9 +419,6 @@ def main(argv=None) -> int:
     except NoRootError as exc:
         print(f"error: no-root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
-    except NonConvergenceError as exc:
-        print(f"error: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

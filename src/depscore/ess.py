@@ -7,12 +7,18 @@ Smoothed cell probabilities take the form
 virtual counts n' spread over the cells according to a prior distribution q
 (uniform unless there is background knowledge). The total virtual weight n'
 is fixed by a moment-matching constraint: the q-smoothed expectation of the
-empirical log-ratio field must equal the bias-adjusted information
-``mi - d/N``. For a uniform prior the constraint's left side decreases
-monotonically in n', so a bracketed bisection is guaranteed to find the
-root; a first-order expansion around n' = 0 also gives the closed-form
-approximation ``n' = d / (mi - <L>_q)``, which needs only the empirical
-distribution and not N.
+empirical log-ratio field L must equal the bias-adjusted information
+``rhs = mi - d/N``. Since sum N_ab L_ab = N * mi (empty cells carry no
+weight, so the safe-joint floor below does not enter), the left side is
+
+    (N * mi + n' * <L>_q) / (N + n'),
+
+a weighted average of mi and the prior expectation <L>_q. It is monotone in
+n' for any prior, and the constraint has the exact root
+``n' = d / (rhs - <L>_q)``, which is positive exactly when d >= 1 and
+rhs > <L>_q. Dropping the d/N term from the right side gives the
+first-order approximation ``n' = d / (mi - <L>_q)``, which needs only the
+empirical distribution and not N.
 
 Empty cells would put a -inf into the log-ratio field, so the joint (and
 only the joint) inside the log is floored at one count: max(N_ab, 1)/N.
@@ -33,7 +39,6 @@ __all__ = [
     "SmoothedParams",
     "EssResult",
     "NoRootError",
-    "NonConvergenceError",
     "smoothed_params",
     "log_ratio_field",
     "constraint_lhs",
@@ -42,16 +47,8 @@ __all__ = [
     "approx_ess",
 ]
 
-_MAX_BRACKET = 2.0 ** 60
-_MAX_BISECT = 400
-
-
 class NoRootError(ValueError):
     """The constraint has no positive root (dependence too weak)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The solver hit its iteration or bracket cap without meeting tolerance."""
 
 
 @dataclass(frozen=True)
@@ -65,19 +62,18 @@ class SmoothedParams:
 
 @dataclass(frozen=True)
 class EssResult:
-    """Equivalent sample size from the exact constraint and the closed form.
+    """Equivalent sample size from the exact constraint and its approximation.
 
-    ``n_prime_exact`` solves the constraint to the requested residual
-    tolerance; ``n_prime_approx`` is the first-order closed form; ``rhs`` is
-    the constraint's right side mi - d/N; ``iterations`` counts bisection
-    steps (bracket doubling included).
+    ``n_prime_exact`` is the exact root d / (rhs - <L>_q) of the constraint;
+    ``n_prime_approx`` is the first-order approximation d / (mi - <L>_q);
+    ``rhs`` is the constraint's right side mi - d/N; ``used_safe_joint``
+    records whether the log-ratio field floored an empty cell.
     """
 
     n_prime_exact: float
     n_prime_approx: float
     rhs: float
     used_safe_joint: bool
-    iterations: int
 
 
 def _check_prior(t: CountTable, q: ProbTable | None) -> ProbTable:
@@ -136,9 +132,14 @@ def constraint_rhs(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     return mi_plugin(t) - dof(t, mode) / float(t.n)
 
 
+def _prior_mean(field: np.ndarray, q: ProbTable) -> float:
+    """<L>_q: the prior expectation of the log-ratio field."""
+    return float((q.probs * field).sum())
+
+
 def approx_ess(t: CountTable, q: ProbTable | None = None,
                mode: DofMode = DofMode.EFFECTIVE) -> float:
-    """Closed-form equivalent sample size d / (mi - <L>_q).
+    """First-order equivalent sample size d / (mi - <L>_q).
 
     ``<L>_q`` is the prior expectation of the log-ratio field, which is
     non-positive for a uniform prior, so the result is positive whenever the
@@ -146,76 +147,38 @@ def approx_ess(t: CountTable, q: ProbTable | None = None,
     """
     q = _check_prior(t, q)
     field, _ = log_ratio_field(t)
-    l_bar = float((q.probs * field).sum())
-    denom = mi_plugin(t) - l_bar
+    denom = mi_plugin(t) - _prior_mean(field, q)
     if denom <= 0.0:
         raise ValueError(f"approximation undefined: mi - <L>_q = {denom} is not positive")
     return dof(t, mode) / denom
 
 
 def solve_ess(t: CountTable, q: ProbTable | None = None,
-              mode: DofMode = DofMode.EFFECTIVE, tol: float = 1e-10) -> EssResult:
-    """Equivalent sample size from the exact constraint, by bracketed bisection.
+              mode: DofMode = DofMode.EFFECTIVE) -> EssResult:
+    """Equivalent sample size: the exact root of the constraint, in closed form.
 
-    The bracket [0, hi] doubles hi until the (monotone, for uniform q) left
-    side falls below the right side, then bisects on n' until the constraint
-    residual is within ``tol``. Raises :class:`NoRootError` when the right
-    side already meets or exceeds the left side at n' = 0, and
-    :class:`NonConvergenceError` if the bracket or iteration cap is hit.
+    Raises :class:`NoRootError` when the constraint has no positive root:
+    when d < 1 (the right side is then mi itself, met only at n' = 0) or
+    when rhs <= <L>_q (the left side never falls that low).
     """
-    if not float(tol) > 0.0:
-        raise ValueError("tol must be positive")
     q = _check_prior(t, q)
     field, used_safe = log_ratio_field(t)
-    counts = t.counts.astype(float)
-    n = float(t.n)
-    qf = q.probs
-
-    def lhs(n_prime: float) -> float:
-        return float((((counts + n_prime * qf) / (n + n_prime)) * field).sum())
-
-    rhs = constraint_rhs(t, mode)
-    iterations = 0
-    lhs0 = lhs(0.0)
-    if rhs >= lhs0:
+    mi = mi_plugin(t)
+    d = dof(t, mode)
+    if d < 1:
         raise NoRootError(
-            f"no positive root: rhs {rhs:.6g} >= lhs(0) {lhs0:.6g}; "
+            f"no positive root: {mode.value} dof is {d}, so rhs equals mi; "
             "dependence too weak for a positive equivalent sample size"
         )
-    # The left side is a weighted average of lhs(0) and <L>_q, so it can
-    # never cross an rhs at or below the prior expectation of the field.
-    l_bar = float((qf * field).sum())
+    rhs = mi - d / float(t.n)
+    l_bar = _prior_mean(field, q)
     if rhs <= l_bar:
         raise NoRootError(
             f"no positive root: rhs {rhs:.6g} <= limiting value <L>_q {l_bar:.6g}"
         )
-    hi = 1.0
-    while lhs(hi) > rhs:
-        hi *= 2.0
-        iterations += 1
-        if hi > _MAX_BRACKET:
-            raise NonConvergenceError("bracket expansion exceeded 2^60 without a sign change")
-    lo = 0.0
-    root = hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val = lhs(mid)
-        iterations += 1
-        if abs(val - rhs) <= tol:
-            root = mid
-            break
-        if val > rhs:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NonConvergenceError(
-            f"bisection did not reach residual tolerance {tol} in {_MAX_BISECT} steps"
-        )
     return EssResult(
-        n_prime_exact=float(root),
-        n_prime_approx=approx_ess(t, q, mode),
+        n_prime_exact=d / (rhs - l_bar),
+        n_prime_approx=d / (mi - l_bar),
         rhs=rhs,
         used_safe_joint=used_safe,
-        iterations=iterations,
     )

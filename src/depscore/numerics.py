@@ -1,10 +1,10 @@
 """Special functions and seeded random streams used by the rest of the library.
 
-Everything here is deterministic double-precision numerics: log-gamma, the
+Everything here is deterministic double-precision numerics: the
 regularized upper incomplete gamma function (carried in log space so that
 chi-square survival probabilities stay meaningful far past the point where
-the linear value underflows), the inverse standard-normal CDF, a categorical
-sampler, and a bracketed bisection root finder.
+the linear value underflows), the inverse standard-normal CDF, and a
+bracketed bisection root finder.
 
 All functions are pure. ``RandomStream`` is the only stateful object and is
 single-owner: never share one across concurrent consumers; derive independent
@@ -21,10 +21,8 @@ import numpy as np
 __all__ = [
     "RandomStream",
     "substream",
-    "log_gamma",
     "reg_gamma_upper",
     "inv_std_normal_cdf",
-    "sample_categorical",
     "bisect_root",
 ]
 
@@ -78,14 +76,6 @@ def substream(master_seed: int, index: int) -> RandomStream:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def _lower_series(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) by series; needs x < s + 1."""
@@ -220,29 +210,8 @@ def inv_std_normal_cdf(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampling and root finding
+# root finding
 # ---------------------------------------------------------------------------
-
-def sample_categorical(stream: RandomStream, probs) -> int:
-    """One draw from a categorical distribution; consumes one uniform.
-
-    ``probs`` must be nonnegative and sum to 1 within 1e-12.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a nonempty 1-D vector")
-    if np.any(p < 0.0):
-        raise ValueError("probs must be nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"probs must sum to 1 within 1e-12, got sum {p.sum()!r}")
-    u = stream.uniform()
-    acc = 0.0
-    for i, pi in enumerate(p):
-        acc += float(pi)
-        if u < acc:
-            return i
-    return int(p.size - 1)
-
 
 def bisect_root(f, lo: float, hi: float, *, xtol: float = 1e-12, max_iter: int = 200) -> float:
     """Root of a continuous f on [lo, hi] by bisection; f(lo), f(hi) must differ in sign."""

@@ -174,7 +174,7 @@ def test_criterion_08_ess_consistency():
     for r in range(50):
         t = sample_table(probs, 10_000, substream(20_240_809, r))
         all_observed &= bool(np.all(t.counts > 0))
-        res = solve_ess(t, tol=1e-10)
+        res = solve_ess(t)
         rel_gaps.append(abs(res.n_prime_approx - res.n_prime_exact) / res.n_prime_exact)
     worst = max(rel_gaps)
     med_small = float(np.median(

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from depscore import EssResult
 from depscore.cli import main, read_count_table, read_dataset
 
 MI_2112 = 0.05663301226513249
@@ -181,6 +183,19 @@ def test_rank_unknown_column(tmp_path, capsys):
     assert code == 1 and "unknown column" in err
 
 
+def test_rank_constant_column_named(tmp_path, capsys):
+    # a column with one label cannot form a pair; the error names it
+    f = tmp_path / "const.csv"
+    f.write_text("f,const,y\n" + "\n".join(
+        f"v{i % 3},k,w{i % 2}" for i in range(200)) + "\n")
+    code, out, err = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y")
+    assert code == 1 and out == ""
+    assert "'const'" in err and "'k'" in err
+    code, out, err = run_cli(capsys, "measure", "--input", str(f), "--pair", "f", "const")
+    assert code == 1 and out == ""
+    assert "'const'" in err and "'k'" in err
+
+
 def test_rank_single_feature(tmp_path, capsys):
     f = tmp_path / "two.csv"
     f.write_text("a,y\n" + "\n".join(
@@ -201,10 +216,10 @@ def test_ess_command(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ess", "--input", str(f))
     assert code == 0 and err == ""
     vals = parse_kv(out)
+    assert list(vals) == [f.name for f in fields(EssResult)]
     assert float(vals["n_prime_approx"]) == pytest.approx(8.65617024533378, rel=1e-9)
-    assert float(vals["n_prime_exact"]) == pytest.approx(8.782880425682307, abs=1e-4)
+    assert float(vals["n_prime_exact"]) == pytest.approx(8.782880425682307, rel=1e-12)
     assert vals["used_safe_joint"] == "false"
-    assert int(vals["iterations"]) > 0
 
 
 def test_ess_no_root_distinct_exit(tmp_path, capsys):
@@ -213,6 +228,15 @@ def test_ess_no_root_distinct_exit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ess", "--input", str(f))
     assert code == 3
     assert "no-root" in err
+
+
+@pytest.mark.parametrize("rows", ["5 0\n0 7\n", "0 3\n9 0\n"])
+def test_ess_zero_dof_no_root(tmp_path, capsys, rows):
+    f = tmp_path / "diag.counts"
+    f.write_text(rows)
+    code, out, err = run_cli(capsys, "ess", "--input", str(f))
+    assert code == 3 and out == ""
+    assert "no-root" in err and "dof is 0" in err
 
 
 def test_ess_curve_output(tmp_path, capsys):

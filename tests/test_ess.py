@@ -1,11 +1,9 @@
 """Equivalent-sample-size machinery: smoothed parameters, the constraint,
-its root, and the closed-form approximation.
+its root, and the first-order approximation.
 
-The constraint's left side is linear in the smoothed probabilities, which
-are themselves a linear-fractional function of n', so the exact root has a
-closed form used here as an independent oracle:
-
-    n' = N * (lhs(0) - rhs) / (rhs - <L>_q)
+``solve_ess`` returns the closed-form root of the constraint. The oracle
+here is independent of that formula: it bisects the definitional left side
+``constraint_lhs`` (the sum of p_tilde * L) against the right side.
 """
 
 from __future__ import annotations
@@ -19,8 +17,10 @@ from depscore import (
     DofMode,
     NoRootError,
     approx_ess,
+    bisect_root,
     constraint_lhs,
     constraint_rhs,
+    dof,
     fig2_distribution,
     from_counts,
     log_ratio_field,
@@ -42,13 +42,28 @@ EXACT_600 = 8.782880425682307          # 1 / (mi - 1/600 - <L>)
 RHS_600 = 0.05496634559846582          # mi - 1/600
 
 
-def closed_form_root(t, q=None) -> float:
-    lhs0 = constraint_lhs(t, 0.0, q)
+def bisection_root(t, q=None) -> float:
+    """Root of constraint_lhs(t, n', q) - rhs: bracket by doubling, then bisect."""
     rhs = constraint_rhs(t)
-    field, _ = log_ratio_field(t)
-    qp = uniform_prob(t.card_a, t.card_b).probs if q is None else q.probs
-    l_bar = float((qp * field).sum())
-    return t.n * (lhs0 - rhs) / (rhs - l_bar)
+
+    def resid(n_prime):
+        return constraint_lhs(t, n_prime, q) - rhs
+
+    hi = 1.0
+    while resid(hi) > 0.0:
+        hi *= 2.0
+    return bisect_root(resid, 0.0, hi, xtol=1e-10 * hi, max_iter=200)
+
+
+def random_prior(gen, t):
+    return make_prob_table(gen.dirichlet(np.ones(t.counts.size)).reshape(t.counts.shape))
+
+
+def permuted_diagonal(gen, k):
+    """A k x k table with one occupied cell per row and column: effective dof 0."""
+    counts = np.zeros((k, k), dtype=np.int64)
+    counts[np.arange(k), gen.permutation(k)] = gen.integers(1, 50, size=k)
+    return from_counts(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +215,8 @@ def test_approx_ess_denominator_error():
 
 def test_solve_ess_residual_certificate():
     t = from_counts(T600)
-    res = solve_ess(t, tol=1e-10)
-    assert abs(constraint_lhs(t, res.n_prime_exact) - res.rhs) <= 1e-10
+    res = solve_ess(t)
+    assert abs(constraint_lhs(t, res.n_prime_exact) - res.rhs) <= 1e-12
     assert res.n_prime_exact > 0
     assert res.used_safe_joint is False
     assert res.n_prime_approx == pytest.approx(APPROX_600, rel=1e-10)
@@ -209,9 +224,9 @@ def test_solve_ess_residual_certificate():
 
 def test_solve_ess_matches_closed_form_and_grid_scan():
     t = from_counts(T600)
-    res = solve_ess(t, tol=1e-12)
-    assert res.n_prime_exact == pytest.approx(EXACT_600, abs=1e-5)
-    assert res.n_prime_exact == pytest.approx(closed_form_root(t), abs=1e-5)
+    res = solve_ess(t)
+    assert res.n_prime_exact == pytest.approx(EXACT_600, rel=1e-12)
+    assert res.n_prime_exact == pytest.approx(bisection_root(t), rel=1e-6)
     # grid-scan oracle: the sign change of lhs - rhs brackets the root
     grid = np.linspace(0.0, 40.0, 4001)
     resid = np.array([constraint_lhs(t, float(v)) - res.rhs for v in grid])
@@ -234,16 +249,57 @@ def test_solve_ess_scale_invariance():
 
 
 def test_solve_ess_random_tables_match_closed_form():
+    # the closed-form root against bisection on the definitional left side,
+    # under uniform and random Dirichlet priors
     gen = np.random.default_rng(23)
-    done = 0
-    while done < 100:
+    done = {"uniform": 0, "random": 0}
+    while min(done.values()) < 100:
         t = random_count_table(gen, min_n=200, max_n=5000)
+        for kind, q in (("uniform", None), ("random", random_prior(gen, t))):
+            try:
+                res = solve_ess(t, q)
+            except (NoRootError, ValueError):
+                continue
+            assert res.n_prime_exact == pytest.approx(bisection_root(t, q), rel=1e-6)
+            done[kind] += 1
+
+
+def test_solve_ess_residual_and_no_root_condition():
+    # a root exactly when d >= 1 and rhs > <L>_q; where one exists it meets
+    # the definitional constraint to 1e-12
+    gen = np.random.default_rng(24)
+    roots = {"uniform": 0, "random": 0}
+    for _ in range(1000):
+        t = random_count_table(gen, max_n=5000)
         try:
-            res = solve_ess(t, tol=1e-11)
-        except (NoRootError, ValueError):
-            continue
-        assert res.n_prime_exact == pytest.approx(closed_form_root(t), rel=1e-4, abs=1e-6)
-        done += 1
+            field, _ = log_ratio_field(t)
+        except ValueError:
+            continue  # empty marginal
+        d = dof(t, DofMode.EFFECTIVE)
+        rhs = constraint_rhs(t)
+        for kind, q in (("uniform", uniform_prob(t.card_a, t.card_b)),
+                        ("random", random_prior(gen, t))):
+            has_root = d >= 1 and rhs > float((q.probs * field).sum())
+            try:
+                res = solve_ess(t, q)
+            except NoRootError:
+                assert not has_root
+                continue
+            assert has_root
+            assert abs(constraint_lhs(t, res.n_prime_exact, q) - res.rhs) <= 1e-12
+            roots[kind] += 1
+    assert min(roots.values()) >= 100
+
+
+def test_solve_ess_no_root_at_zero_dof():
+    # a permuted diagonal table has effective dof 0, so rhs = mi and the
+    # only crossing is n' = 0; rounding must not turn that into a root
+    gen = np.random.default_rng(25)
+    for _ in range(300):
+        t = permuted_diagonal(gen, int(gen.integers(2, 5)))
+        assert dof(t, DofMode.EFFECTIVE) == 0
+        with pytest.raises(NoRootError):
+            solve_ess(t)
 
 
 def test_stronger_dependence_gives_smaller_ess():

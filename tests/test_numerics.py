@@ -11,9 +11,7 @@ from depscore import (
     RandomStream,
     bisect_root,
     inv_std_normal_cdf,
-    log_gamma,
     reg_gamma_upper,
-    sample_categorical,
     substream,
 )
 
@@ -46,29 +44,6 @@ def erf_series(x: float) -> float:
 
 def normal_cdf_series(z: float) -> float:
     return 0.5 * (1.0 + erf_series(z / math.sqrt(2.0)))
-
-
-# ---------------------------------------------------------------------------
-# log_gamma
-# ---------------------------------------------------------------------------
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-    # duplication-formula oracle: Gamma(1/2) = sqrt(pi)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-12)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.5, 1.3, 7.0, 100.0])
-def test_log_gamma_recurrence(x):
-    assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) <= 1e-11
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-def test_log_gamma_domain(bad):
-    with pytest.raises(ValueError):
-        log_gamma(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -174,54 +149,6 @@ def test_substream_determinism_and_separation():
     seq_a = [a.uniform() for _ in range(10)]
     assert seq_a == [b.uniform() for _ in range(10)]
     assert seq_a != [c.uniform() for _ in range(10)]
-
-
-def test_sample_categorical_degenerate():
-    s = RandomStream(0)
-    assert all(sample_categorical(s, [1.0, 0.0, 0.0]) == 0 for _ in range(50))
-
-
-def test_sample_categorical_determinism():
-    probs = [0.2, 0.3, 0.5]
-    s1, s2 = RandomStream(42), RandomStream(42)
-    seq1 = [sample_categorical(s1, probs) for _ in range(200)]
-    seq2 = [sample_categorical(s2, probs) for _ in range(200)]
-    assert seq1 == seq2
-
-
-def test_sample_categorical_uniform_counts():
-    # 1e6 draws from uniform 4 categories: each count within 4 sigma of 250000
-    s = RandomStream(7)
-    draws = s.generator.random(1_000_000)
-    counts = np.bincount(np.minimum((draws * 4).astype(int), 3), minlength=4)
-    # equivalent single-uniform inversion used for bulk speed; check the
-    # one-at-a-time path agrees on a prefix
-    s2 = RandomStream(7)
-    head = [sample_categorical(s2, [0.25] * 4) for _ in range(1000)]
-    assert head == np.minimum((draws[:1000] * 4).astype(int), 3).tolist()
-    sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-    assert np.all(np.abs(counts - 250_000) <= 4.0 * sigma)
-
-
-def test_sample_categorical_goodness_of_fit():
-    # seeded chi-square GoF on 1e5 draws from a fixed 5-category distribution
-    probs = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
-    s = RandomStream(2024)
-    counts = np.zeros(5, dtype=int)
-    for _ in range(100_000):
-        counts[sample_categorical(s, probs)] += 1
-    expected = probs * 100_000
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    p, _ = reg_gamma_upper(4 / 2.0, stat / 2.0)
-    assert p > 1e-4
-
-
-def test_sample_categorical_rejects_bad_probs():
-    s = RandomStream(0)
-    with pytest.raises(ValueError):
-        sample_categorical(s, [0.5, 0.4])
-    with pytest.raises(ValueError):
-        sample_categorical(s, [-0.1, 1.1])
 
 
 # ---------------------------------------------------------------------------
