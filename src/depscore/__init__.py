@@ -41,12 +41,14 @@ from .measures import (
     conditional_entropy,
     entropy,
     independence_std,
+    mean_marginal_entropy,
     mi_bias_corrected,
     mi_plugin,
     normalized_mi,
     p_value,
     r_score,
     report,
+    score,
     standardized_information,
 )
 from .numerics import (

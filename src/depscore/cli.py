@@ -33,7 +33,7 @@ from .experiments import (
     run_discretization_experiment,
     run_feature_selection_experiment,
 )
-from .measures import MeasureKind, mi_bias_corrected, mi_plugin, normalized_mi, report
+from .measures import MeasureKind, mean_marginal_entropy, mi_plugin, report, score
 from .ranking import is_notable, rank, score_candidates
 from .tables import CountTable, DofMode, dof, from_counts, from_samples, make_prob_table
 
@@ -205,10 +205,12 @@ def _cmd_measure(args) -> int:
         out_lines.append(f"# partial report: {mode.value} dof is 0")
         out_lines.append(f"n\t{_fmt(table.n)}")
         out_lines.append(f"dof\t{_fmt(d)}")
-        out_lines.append(f"mi_plugin\t{_fmt(mi_plugin(table))}")
-        out_lines.append(f"mi_bc\t{_fmt(mi_bias_corrected(table, mode))}")
+        mi = mi_plugin(table)
+        out_lines.append(f"mi_plugin\t{_fmt(mi)}")
+        out_lines.append(f"mi_bc\t{_fmt(score(MeasureKind.MI_BC, mi, d, table.n)[0])}")
         try:
-            out_lines.append(f"ni\t{_fmt(normalized_mi(table))}")
+            ni = score(MeasureKind.NI, mi, d, table.n, mean_marginal_entropy(table))[0]
+            out_lines.append(f"ni\t{_fmt(ni)}")
         except ValueError:
             pass
     _emit("\n".join(out_lines) + "\n", args.out)
@@ -259,7 +261,7 @@ def _curve_text(table: CountTable, prior, nprime_max: float, points: int,
     grid = np.linspace(0.0, float(nprime_max), int(points))
     lhs, rhs = ess_constraint_curve(table, prior, grid, mode)
     rows = ["n_prime\tlhs\trhs"]
-    rows += [f"{g:g}\t{v!r}\t{rhs!r}" for g, v in zip(grid, lhs)]
+    rows += [f"{g:g}\t{_fmt(v)}\t{_fmt(rhs)}" for g, v in zip(grid, lhs)]
     return "\n".join(rows) + "\n"
 
 

@@ -86,13 +86,19 @@ def _check_prior(t: CountTable, q: ProbTable | None) -> ProbTable:
     return q
 
 
+def _smoothed_probs(t: CountTable, n_prime, q: ProbTable) -> np.ndarray:
+    """(N_ab + n' q_ab) / (N + n'), one table per value when n' is an array."""
+    g = np.asarray(n_prime, dtype=float)[..., None, None]
+    if not np.all(g >= 0.0):
+        raise ValueError(f"n_prime must be >= 0, got {n_prime}")
+    return (t.counts + g * q.probs) / (t.n + g)
+
+
 def smoothed_params(t: CountTable, n_prime: float, q: ProbTable | None = None) -> SmoothedParams:
     """Smoothed cell probabilities; n' = 0 reproduces the empirical distribution."""
     n_prime = float(n_prime)
-    if not n_prime >= 0.0:
-        raise ValueError(f"n_prime must be >= 0, got {n_prime}")
     q = _check_prior(t, q)
-    probs = (t.counts + n_prime * q.probs) / (t.n + n_prime)
+    probs = _smoothed_probs(t, n_prime, q)
     probs.setflags(write=False)
     return SmoothedParams(probs=probs, n_prime=n_prime, prior=q)
 
@@ -119,12 +125,15 @@ def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
     return field, used_safe
 
 
-def constraint_lhs(t: CountTable, n_prime: float, q: ProbTable | None = None) -> float:
-    """Left side of the matching constraint: sum of p_tilde * log-ratio field."""
+def constraint_lhs(t: CountTable, n_prime, q: ProbTable | None = None):
+    """Left side of the matching constraint: sum of p_tilde * log-ratio field.
+
+    A float for one ``n_prime``; for an array, an array of its shape.
+    """
     q = _check_prior(t, q)
     field, _ = log_ratio_field(t)
-    sp = smoothed_params(t, n_prime, q)
-    return float((sp.probs * field).sum())
+    lhs = (_smoothed_probs(t, n_prime, q) * field).sum(axis=(-2, -1))
+    return float(lhs) if lhs.ndim == 0 else lhs
 
 
 def constraint_rhs(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:

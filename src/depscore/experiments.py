@@ -23,16 +23,17 @@ Naive Bayes model (feature selection study)
     with the class near z ~ 0.088; the study tracks how often each measure
     prefers a binary feature as the sample grows.
 
-Decision protocols. For discretization, each sampled table goes through
-:func:`depscore.ranking.compare_discretizations` (the refinement-increment
-rule). For feature selection, the best binary and best 4-state candidate
-are compared on the measure's key, and the 4-state winner is accepted only
-if it clears the simpler winner by the measure's own significance margin
-(the notability threshold for standardized information, ``alpha`` on the
-log scale for the p-value, nothing for the additive and normalized
-measures). Both protocols run on nominal degrees of freedom: the null
-calibration of the incremental statistic is what the decision thresholds
-assume.
+Decision protocols. For discretization, each sampled table is judged by
+the refinement-increment rule of
+:func:`depscore.ranking.compare_discretizations`, from statistics computed
+once for every measure. For feature selection, the best binary and best
+4-state candidate are compared on the measure's key, and the 4-state
+winner is accepted only if it clears the simpler winner by the measure's
+own significance margin (the notability threshold for standardized
+information, ``alpha`` on the log scale for the p-value, nothing for the
+additive and normalized measures). Both protocols run on nominal degrees
+of freedom: the null calibration of the incremental statistic is what the
+decision thresholds assume.
 
 The naive p-value is additionally evaluated for both hypotheses of each
 decision. When it rounds to exactly zero for both, the event is counted in
@@ -50,8 +51,8 @@ import numpy as np
 
 from . import measures as meas
 from .measures import MeasureKind
-from .numerics import RandomStream, bisect_root, reg_gamma_upper, substream
-from .ranking import compare_discretizations, si_threshold
+from .numerics import RandomStream, bisect_root, substream
+from .ranking import _increment_score, _margin, _refinement, _refinement_margin
 from .tables import (
     CountTable,
     DofMode,
@@ -59,7 +60,6 @@ from .tables import (
     dof,
     from_counts,
     make_prob_table,
-    merge_states,
     sample_table,
 )
 
@@ -209,11 +209,6 @@ class ExperimentCurve:
     p_underflow: tuple[int, ...] | None = None
 
 
-def _naive_p(s: float, x: float) -> float:
-    q, _ = reg_gamma_upper(s, x)
-    return 1.0 - (1.0 - q)
-
-
 def run_discretization_experiment(
     z_grid=None,
     n_values=(25, 100, 500),
@@ -242,34 +237,22 @@ def run_discretization_experiment(
     favor2 = {n: {k: [0] * len(z_grid) for k in kinds} for n in n_values}
     underflow = {n: [0] * len(z_grid) for n in n_values}
     want_p = MeasureKind.P_VALUE in kinds
+    margins = {k: _refinement_margin(k, alpha) for k in kinds}
 
     for r in range(replicates):
         stream = substream(master_seed, r)
         for zi, z in enumerate(z_grid):
             for n in n_values:
-                t = sample_table(dists[z], n, stream)
+                ref = _refinement(sample_table(dists[z], n, stream), FIG2_PARTITIONS, mode)
                 for k in kinds:
-                    if k is MeasureKind.P_VALUE:
-                        continue
-                    if compare_discretizations(t, FIG2_PARTITIONS, k, mode, alpha) == "coarse":
-                        favor2[n][k][zi] += 1
-                if want_p:
-                    choice = compare_discretizations(
-                        t, FIG2_PARTITIONS, MeasureKind.P_VALUE, mode, alpha)
-                    t_coarse = merge_states(t, *FIG2_PARTITIONS)
-                    i_fine = meas.mi_plugin(t)
-                    i_within = max(i_fine - meas.mi_plugin(t_coarse), 0.0)
-                    d_fine = dof(t, mode)
-                    d_within = d_fine - dof(t_coarse, mode)
-                    p_fine_naive = _naive_p(d_fine / 2.0, n * i_fine)
-                    p_within_naive = (
-                        _naive_p(d_within / 2.0, n * i_within) if d_within >= 1 else 1.0
-                    )
-                    if p_fine_naive == 0.0 and p_within_naive == 0.0:
+                    scored = _increment_score(ref, k)
+                    fine = scored is not None and scored[1] > margins[k]
+                    if k is MeasureKind.P_VALUE and scored is not None and scored[0] == 0.0 \
+                            and meas.score(k, ref.mi_fine, ref.d_fine, ref.n)[0] == 0.0:
                         underflow[n][zi] += 1
-                        choice = "coarse"  # deliberately wrong, to expose the failure
-                    if choice == "coarse":
-                        favor2[n][MeasureKind.P_VALUE][zi] += 1
+                        fine = False  # deliberately wrong, to expose the failure
+                    if not fine:
+                        favor2[n][k][zi] += 1
 
     out: dict[int, ExperimentCurve] = {}
     for n in n_values:
@@ -291,36 +274,15 @@ def run_discretization_experiment(
     return out
 
 
-def _selection_margin(kind: MeasureKind, alpha: float) -> float:
-    if kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
-        return si_threshold(alpha)
-    if kind is MeasureKind.P_VALUE:
-        return -math.log(alpha)
-    return 0.0
+# A candidate with zero dof carries no estimable dependence under a
+# dof-based measure: it ranks last, with p = 1, rather than aborting the study.
+_NO_SCORE = (1.0, -math.inf)
 
 
-def _feature_keys(tabs, kind: MeasureKind, mode: DofMode) -> list[float]:
-    keys = []
-    for _, t in tabs:
-        # a candidate with zero dof at this mode carries no estimable
-        # dependence: it ranks last rather than aborting the study
-        if kind.needs_dof and dof(t, mode) < 1:
-            keys.append(-math.inf)
-        elif kind is MeasureKind.MI_PLUGIN:
-            keys.append(meas.mi_plugin(t))
-        elif kind is MeasureKind.MI_BC:
-            keys.append(meas.mi_bias_corrected(t, mode))
-        elif kind is MeasureKind.SI:
-            keys.append(meas.standardized_information(t, mode))
-        elif kind is MeasureKind.SI_FISHER:
-            keys.append(meas.standardized_information(t, mode, fisher_corrected=True))
-        elif kind is MeasureKind.NI:
-            keys.append(meas.normalized_mi(t))
-        elif kind is MeasureKind.P_VALUE:
-            keys.append(-meas.p_value(t, mode)[1])
-        else:  # pragma: no cover
-            raise ValueError(f"unknown measure kind {kind!r}")
-    return keys
+def _best(stats, kind: MeasureKind) -> tuple[float, float]:
+    """(score, key) of the first candidate with the highest key."""
+    return max((_NO_SCORE if kind.needs_dof and st[1] < 1 else meas.score(kind, *st)
+                for st in stats), key=lambda scored: scored[1])
 
 
 def run_feature_selection_experiment(
@@ -352,26 +314,23 @@ def run_feature_selection_experiment(
 
     favor2 = {k: [0] * len(n_values) for k in kinds}
     underflow = [0] * len(n_values)
+    margins = {k: _margin(k, alpha) for k in kinds}
+    want_h_bar = MeasureKind.NI in kinds
 
     for r in range(replicates):
         stream = substream(master_seed, r)
         for ni_, n in enumerate(n_values):
-            tabs = sample_nb_dataset(model, n, stream)
-            two = [(cid, t) for cid, t in tabs if t.card_a == 2]
-            four = [(cid, t) for cid, t in tabs if t.card_a == 4]
+            stats2, stats4 = [], []
+            for _, t in sample_nb_dataset(model, n, stream):
+                h_bar = meas.mean_marginal_entropy(t) if want_h_bar else None
+                (stats2 if t.card_a == 2 else stats4).append(
+                    (meas.mi_plugin(t), dof(t, mode), t.n, h_bar))
             for k in kinds:
-                keys2 = _feature_keys(two, k, mode)
-                keys4 = _feature_keys(four, k, mode)
-                best2 = max(range(len(keys2)), key=keys2.__getitem__)
-                best4 = max(range(len(keys4)), key=keys4.__getitem__)
-                favors_two = not (keys4[best4] > keys2[best2] + _selection_margin(k, alpha))
-                if k is MeasureKind.P_VALUE and want_p:
-                    t2, t4 = two[best2][1], four[best4][1]
-                    p2 = meas.p_value(t2, mode)[0] if dof(t2, mode) >= 1 else 1.0
-                    p4 = meas.p_value(t4, mode)[0] if dof(t4, mode) >= 1 else 1.0
-                    if p2 == 0.0 and p4 == 0.0:
-                        underflow[ni_] += 1
-                        favors_two = four_truly_better  # deliberately wrong
+                best2, best4 = _best(stats2, k), _best(stats4, k)
+                favors_two = not (best4[1] > best2[1] + margins[k])
+                if k is MeasureKind.P_VALUE and best2[0] == 0.0 and best4[0] == 0.0:
+                    underflow[ni_] += 1
+                    favors_two = four_truly_better  # deliberately wrong
                 if favors_two:
                     favor2[k][ni_] += 1
 
@@ -403,8 +362,7 @@ def ess_constraint_curve(t: CountTable, q: ProbTable | None = None,
     grid = np.asarray(list(n_prime_grid), dtype=float)
     if grid.size == 0 or np.any(grid < 0.0):
         raise ValueError("n_prime_grid must be nonempty and nonnegative")
-    lhs = np.array([constraint_lhs(t, float(v), q) for v in grid])
-    return lhs, constraint_rhs(t, mode)
+    return constraint_lhs(t, grid, q), constraint_rhs(t, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ is asymptotically chi-square under independence. Zero cells contribute zero
 to every entropy/information sum (the x*log(x) -> 0 limit); no smoothing
 happens here; smoothing is the job of :mod:`depscore.ess`.
 
-The measures:
+Each measure is a function of the plug-in MI, the dof d and N (normalized
+MI also needs the mean marginal entropy); :func:`score` holds each formula
+once, and the per-table functions are thin calls to it. The measures:
 
 ``mi_plugin``
     Plug-in mutual information of the empirical joint, in nats.
@@ -56,6 +58,8 @@ __all__ = [
     "r_score",
     "standardized_information",
     "normalized_mi",
+    "mean_marginal_entropy",
+    "score",
     "conditional_entropy",
     "p_value",
     "report",
@@ -71,11 +75,6 @@ class MeasureKind(enum.Enum):
     SI_FISHER = "si_fisher"
     NI = "ni"
     P_VALUE = "p_value"
-
-    @property
-    def higher_is_more_dependent(self) -> bool:
-        """Orientation flag: every measure except the p-value grows with dependence."""
-        return self is not MeasureKind.P_VALUE
 
     @property
     def needs_dof(self) -> bool:
@@ -136,6 +135,44 @@ def mi_plugin(t: CountTable) -> float:
     return float(max((cf / n * np.log(ratio)).sum(), 0.0))
 
 
+def mean_marginal_entropy(t: CountTable) -> float:
+    """Mean of the two marginal entropies (H(A) + H(B)) / 2, in nats."""
+    p = empirical_joint(t)
+    return 0.5 * (entropy(p.probs.sum(axis=1)) + entropy(p.probs.sum(axis=0)))
+
+
+def score(kind: MeasureKind, mi: float, d: int, n: int,
+          h_bar: float | None = None) -> tuple[float, float]:
+    """One measure from a table's statistics, as ``(score, key)``.
+
+    ``mi`` is the plug-in MI, ``d`` the dof, ``n`` the sample size and
+    ``h_bar`` the mean marginal entropy, which only ``ni`` reads. The key
+    orders candidates, higher meaning more dependent: it is the score
+    itself, except that the p-value is keyed on ``-log p``, which stays
+    finite and ordered after the naive value rounds to 0. ``si``,
+    ``si_fisher`` and ``p_value`` refuse ``d < 1``; ``ni`` refuses
+    ``h_bar <= 0``. No other function holds a :class:`MeasureKind` formula.
+    """
+    if kind is MeasureKind.MI_PLUGIN:
+        return mi, mi
+    if kind is MeasureKind.MI_BC:
+        v = mi - d / (2.0 * n)
+        return v, v
+    if kind is MeasureKind.NI:
+        if h_bar is None or not h_bar > 0.0:
+            raise ValueError("normalized MI undefined: both marginal entropies are zero")
+        v = min(mi / h_bar, 1.0)
+        return v, v
+    if d < 1:
+        raise ValueError(f"{kind.value} requires dof > 0, table has dof {d}")
+    if kind is MeasureKind.P_VALUE:
+        q, log_q = reg_gamma_upper(d / 2.0, n * mi)
+        # 1 minus the double-precision CDF: rounds to exactly 0.0 once q < ~1e-16
+        return 1.0 - (1.0 - q), -log_q
+    v = math.sqrt(2.0 * n * mi) - math.sqrt(d - 0.5 if kind is MeasureKind.SI_FISHER else d)
+    return v, v
+
+
 def _require_dof(t: CountTable, mode: DofMode) -> int:
     d = dof(t, mode)
     if d <= 0:
@@ -143,21 +180,27 @@ def _require_dof(t: CountTable, mode: DofMode) -> int:
     return d
 
 
+def _indep_std(d: int, n: int) -> float:
+    return math.sqrt(d) / (math.sqrt(2.0) * n)
+
+
+def _r_score(mi: float, d: int, n: int) -> float:
+    return (2.0 * n * mi - d) / math.sqrt(2.0 * d)
+
+
 def mi_bias_corrected(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     """Plug-in MI minus the leading-order independence bias d/(2N); may be negative."""
-    return mi_plugin(t) - dof(t, mode) / (2.0 * t.n)
+    return score(MeasureKind.MI_BC, mi_plugin(t), dof(t, mode), t.n)[0]
 
 
 def independence_std(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     """Standard deviation of the plug-in MI under independence: sqrt(d)/(sqrt(2)*N)."""
-    d = _require_dof(t, mode)
-    return math.sqrt(d) / (math.sqrt(2.0) * t.n)
+    return _indep_std(_require_dof(t, mode), t.n)
 
 
 def r_score(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     """Bias-corrected MI in units of the null standard deviation: (2N*mi - d)/sqrt(2d)."""
-    d = _require_dof(t, mode)
-    return (2.0 * t.n * mi_plugin(t) - d) / math.sqrt(2.0 * d)
+    return _r_score(mi_plugin(t), _require_dof(t, mode), t.n)
 
 
 def standardized_information(
@@ -167,22 +210,15 @@ def standardized_information(
 ) -> float:
     """sqrt(2N*mi) - sqrt(d), or sqrt(2N*mi) - sqrt(d - 1/2) with the Fisher refinement.
 
-    The plain variant is bounded below by -sqrt(d); the corrected variant
-    requires d >= 1.
+    The plain variant is bounded below by -sqrt(d); both require d >= 1.
     """
-    d = _require_dof(t, mode)
-    root = math.sqrt(2.0 * t.n * mi_plugin(t))
-    return root - math.sqrt(d - 0.5) if fisher_corrected else root - math.sqrt(d)
+    kind = MeasureKind.SI_FISHER if fisher_corrected else MeasureKind.SI
+    return score(kind, mi_plugin(t), dof(t, mode), t.n)[0]
 
 
 def normalized_mi(t: CountTable) -> float:
     """Plug-in MI over the mean marginal entropy; dimensionless in [0, 1]."""
-    p = empirical_joint(t)
-    ha = entropy(p.probs.sum(axis=1))
-    hb = entropy(p.probs.sum(axis=0))
-    if ha + hb <= 0.0:
-        raise ValueError("normalized MI undefined: both marginal entropies are zero")
-    return min(mi_plugin(t) / (0.5 * (ha + hb)), 1.0)
+    return score(MeasureKind.NI, mi_plugin(t), 0, t.n, mean_marginal_entropy(t))[0]
 
 
 def conditional_entropy(t: CountTable, target: str = "a") -> float:
@@ -208,31 +244,27 @@ def p_value(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> tuple[float, fl
     the log-space upper incomplete gamma and remains finite and strictly
     ordered far beyond that point.
     """
-    d = _require_dof(t, mode)
-    stat = 2.0 * t.n * mi_plugin(t)
-    q, log_q = reg_gamma_upper(d / 2.0, stat / 2.0)
-    cdf = 1.0 - q           # double-precision CDF: rounds to 1.0 once q < ~1e-16
-    p_naive = 1.0 - cdf
-    return p_naive, log_q
+    p_naive, neg_log_p = score(MeasureKind.P_VALUE, mi_plugin(t), dof(t, mode), t.n)
+    return p_naive, -neg_log_p
 
 
 def report(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> DependenceReport:
-    """All measures for one table, populated consistently from one mi evaluation."""
+    """All measures for one table, from one evaluation each of mi, dof and h_bar."""
     d = _require_dof(t, mode)
     n = t.n
     mi = mi_plugin(t)
-    root = math.sqrt(2.0 * n * mi)
-    p_naive, log_p = p_value(t, mode)
+    h_bar = mean_marginal_entropy(t)
+    scored = {kind: score(kind, mi, d, n, h_bar) for kind in MeasureKind}
     return DependenceReport(
         n=n,
         dof=d,
         mi_plugin=mi,
-        mi_bc=mi - d / (2.0 * n),
-        indep_std=math.sqrt(d) / (math.sqrt(2.0) * n),
-        r_score=(2.0 * n * mi - d) / math.sqrt(2.0 * d),
-        si=root - math.sqrt(d),
-        si_fisher=root - math.sqrt(d - 0.5),
-        ni=normalized_mi(t),
-        p_naive=p_naive,
-        log_p=log_p,
+        mi_bc=scored[MeasureKind.MI_BC][0],
+        indep_std=_indep_std(d, n),
+        r_score=_r_score(mi, d, n),
+        si=scored[MeasureKind.SI][0],
+        si_fisher=scored[MeasureKind.SI_FISHER][0],
+        ni=scored[MeasureKind.NI][0],
+        p_naive=scored[MeasureKind.P_VALUE][0],
+        log_p=-scored[MeasureKind.P_VALUE][1],
     )

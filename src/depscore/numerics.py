@@ -77,18 +77,23 @@ def substream(master_seed: int, index: int) -> RandomStream:
 # special functions
 # ---------------------------------------------------------------------------
 
+def _max_iter(s: float) -> int:
+    """Iteration cap: both expansions need O(sqrt(s)) steps when x is near s."""
+    return _MAX_ITER + int(20.0 * math.sqrt(s))
+
+
 def _lower_series(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) by series; needs x < s + 1."""
     term = 1.0 / s
     total = term
     a = s
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(s)):
         a += 1.0
         term *= x / a
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    else:  # pragma: no cover - series converges fast in the x < s+1 regime
+    else:  # pragma: no cover - the cap grows with sqrt(s), which the series needs
         raise RuntimeError("incomplete gamma series failed to converge")
     log_p = s * math.log(x) - x - math.lgamma(s) + math.log(total)
     return math.exp(log_p) if log_p < 0.0 else 1.0
@@ -101,7 +106,7 @@ def _upper_cf_log(s: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _max_iter(s)):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import measures
 from .measures import MeasureKind
-from .numerics import inv_std_normal_cdf, reg_gamma_upper
-from .tables import CountTable, DofMode, dof, empirical_joint, merge_states
+from .numerics import inv_std_normal_cdf
+from .tables import CountTable, DofMode, dof, merge_states
 
 __all__ = [
     "ScoredCandidate",
@@ -57,32 +58,6 @@ class Ranking:
     tie_policy: str = TIE_POLICY
 
 
-def _score_one(cid: str, t: CountTable, kind: MeasureKind, mode: DofMode) -> ScoredCandidate:
-    d = dof(t, mode)
-    if kind is MeasureKind.MI_PLUGIN:
-        score = measures.mi_plugin(t)
-        key = score
-    elif kind is MeasureKind.NI:
-        score = measures.normalized_mi(t)
-        key = score
-    elif kind is MeasureKind.MI_BC:
-        score = measures.mi_bias_corrected(t, mode)
-        key = score
-    elif kind is MeasureKind.SI:
-        score = measures.standardized_information(t, mode)
-        key = score
-    elif kind is MeasureKind.SI_FISHER:
-        score = measures.standardized_information(t, mode, fisher_corrected=True)
-        key = score
-    elif kind is MeasureKind.P_VALUE:
-        p_naive, log_p = measures.p_value(t, mode)
-        score = p_naive
-        key = -log_p
-    else:  # pragma: no cover
-        raise ValueError(f"unknown measure kind {kind!r}")
-    return ScoredCandidate(id=str(cid), score=float(score), key=float(key), dof=d, n=t.n)
-
-
 def score_candidates(tables, kind: MeasureKind,
                      mode: DofMode = DofMode.EFFECTIVE) -> list[ScoredCandidate]:
     """Score each (id, CountTable) candidate under one measure.
@@ -93,9 +68,12 @@ def score_candidates(tables, kind: MeasureKind,
     out = []
     for cid, t in tables:
         try:
-            out.append(_score_one(cid, t, kind, mode))
+            d = dof(t, mode)
+            h_bar = measures.mean_marginal_entropy(t) if kind is MeasureKind.NI else None
+            score, key = measures.score(kind, measures.mi_plugin(t), d, t.n, h_bar)
         except ValueError as exc:
             raise ValueError(f"candidate {cid!r}: {exc}") from exc
+        out.append(ScoredCandidate(id=str(cid), score=float(score), key=float(key), dof=d, n=t.n))
     return out
 
 
@@ -127,6 +105,46 @@ def select_best_feature(tables, kind: MeasureKind,
     return rank(scored).candidates[0].id
 
 
+def _margin(kind: MeasureKind, alpha: float) -> float:
+    """How far a richer candidate's key must clear the simpler one's."""
+    if kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
+        return si_threshold(alpha)
+    if kind is MeasureKind.P_VALUE:
+        return -math.log(alpha)
+    return 0.0
+
+
+def _refinement_margin(kind: MeasureKind, alpha: float) -> float:
+    return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else _margin(kind, alpha)
+
+
+class _Refinement(NamedTuple):
+    """A table's statistics and what its finer states add beyond a merging."""
+
+    n: int
+    mi_fine: float
+    d_fine: int
+    mi_within: float
+    d_within: int
+    h_bar: float
+
+
+def _refinement(t_fine: CountTable, partitions, mode: DofMode) -> _Refinement:
+    part_a, part_b = partitions
+    t_coarse = merge_states(t_fine, part_a, part_b)
+    mi_fine = measures.mi_plugin(t_fine)
+    d_fine = dof(t_fine, mode)
+    return _Refinement(t_fine.n, mi_fine, d_fine, max(mi_fine - measures.mi_plugin(t_coarse), 0.0),
+                       d_fine - dof(t_coarse, mode), measures.mean_marginal_entropy(t_fine))
+
+
+def _increment_score(ref: _Refinement, kind: MeasureKind) -> tuple[float, float] | None:
+    """(score, key) of the increment; None when it has no estimable structure."""
+    if (kind.needs_dof and ref.d_within < 1) or (kind is MeasureKind.NI and ref.h_bar <= 0.0):
+        return None
+    return measures.score(kind, ref.mi_within, ref.d_within, ref.n, ref.h_bar)
+
+
 def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
                             mode: DofMode = DofMode.EFFECTIVE,
                             alpha: float = 0.05) -> str:
@@ -135,14 +153,15 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
     Returns ``"fine"`` or ``"coarse"``. The merged table is nested inside the
     fine one, so the comparison puts the *increment* (the information the
     finer states add beyond the coarse dependence, with the corresponding
-    extra degrees of freedom) on the measure's own scale:
+    extra degrees of freedom) on the measure's own scale, and the increment's
+    key must clear a per-measure margin:
 
-    - ``mi_plugin``: any increment at all favors fine (no regularization).
-    - ``mi_bc``: increment must exceed its bias d_extra / (2N).
+    - ``mi_plugin``: any increment at all favors fine (margin 0).
+    - ``mi_bc``: increment must exceed its bias d_extra / (2N) (margin 0).
     - ``si`` / ``si_fisher``: the standardized increment must clear the
       notability threshold for ``alpha``.
     - ``p_value``: the increment's chi-square survival (robust log path)
-      must fall below ``alpha``.
+      must fall below ``alpha``, i.e. its key must exceed ``-log(alpha)``.
     - ``ni``: the increment's share of the mean marginal entropy must exceed
       the fixed ``NI_REFINEMENT_SHARE`` (a sample-size-independent rule, in
       keeping with how normalized MI regularizes).
@@ -150,34 +169,6 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
     Exact ties and degenerate cases (no extra estimable structure) go to
     coarse, the simpler hypothesis.
     """
-    part_a, part_b = partitions
-    t_coarse = merge_states(t_fine, part_a, part_b)
-    n = t_fine.n
-    i_fine = measures.mi_plugin(t_fine)
-    i_coarse = measures.mi_plugin(t_coarse)
-    i_within = max(i_fine - i_coarse, 0.0)
-    d_within = dof(t_fine, mode) - dof(t_coarse, mode)
-
-    if kind is MeasureKind.MI_PLUGIN:
-        return "fine" if i_within > 0.0 else "coarse"
-    if kind is MeasureKind.NI:
-        p = empirical_joint(t_fine)
-        h_bar = 0.5 * (measures.entropy(p.probs.sum(axis=1))
-                       + measures.entropy(p.probs.sum(axis=0)))
-        if h_bar <= 0.0:
-            return "coarse"
-        return "fine" if i_within / h_bar > NI_REFINEMENT_SHARE else "coarse"
-    if d_within < 1:
-        return "coarse"
-    if kind is MeasureKind.MI_BC:
-        return "fine" if i_within - d_within / (2.0 * n) > 0.0 else "coarse"
-    if kind is MeasureKind.SI:
-        si = math.sqrt(2.0 * n * i_within) - math.sqrt(d_within)
-        return "fine" if si > si_threshold(alpha) else "coarse"
-    if kind is MeasureKind.SI_FISHER:
-        si = math.sqrt(2.0 * n * i_within) - math.sqrt(d_within - 0.5)
-        return "fine" if si > si_threshold(alpha) else "coarse"
-    if kind is MeasureKind.P_VALUE:
-        _, log_q = reg_gamma_upper(d_within / 2.0, n * i_within)
-        return "fine" if log_q < math.log(alpha) else "coarse"
-    raise ValueError(f"unknown measure kind {kind!r}")  # pragma: no cover
+    scored = _increment_score(_refinement(t_fine, partitions, mode), kind)
+    return "fine" if scored is not None and scored[1] > _refinement_margin(kind, alpha) \
+        else "coarse"

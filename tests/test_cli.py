@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from depscore import EssResult
+from depscore import DofMode, EssResult, constraint_lhs, constraint_rhs, make_prob_table
 from depscore.cli import main, read_count_table, read_dataset
 
 MI_2112 = 0.05663301226513249
@@ -135,6 +136,21 @@ def test_measure_dof_flag(tmp_path, capsys):
     assert float(parse_kv(out2)["si"]) == pytest.approx(2.723297411059034, abs=1e-9)
 
 
+def test_measure_large_near_uniform_table(tmp_path, capsys):
+    # 201x201 with G just below dof: the p-value needs Q(s, x) at s = 20,000
+    # and x near s, where a fixed iteration cap once ended in a traceback
+    counts = np.random.default_rng(1).poisson(200, (201, 201))
+    f = tmp_path / "u201.counts"
+    f.write_text("\n".join(" ".join(map(str, row)) for row in counts) + "\n")
+    code, out, err = run_cli(capsys, "measure", "--input", str(f))
+    assert code == 0, err
+    vals = parse_kv(out)
+    assert int(vals["dof"]) == 200 * 200
+    assert float(vals["si"]) < 0.0                    # G < dof
+    assert 0.0 < float(vals["p_naive"]) < 1.0
+    assert math.log(float(vals["p_naive"])) == pytest.approx(float(vals["log_p"]), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------------
@@ -250,6 +266,37 @@ def test_ess_curve_output(tmp_path, capsys):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "n_prime\tlhs\trhs"
     assert len(lines) == 22
+
+
+def _check_curve_rows(path, table_path, mode, prior=None):
+    """Every field is a plain number and each lhs is the constraint's left side."""
+    t = read_count_table(table_path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "n_prime\tlhs\trhs"
+    for line in lines[1:]:
+        g, lhs, rhs = (float(v) for v in line.split("\t"))
+        assert lhs == pytest.approx(constraint_lhs(t, g, prior), rel=1e-12)
+        assert rhs == constraint_rhs(t, mode)
+
+
+def test_ess_curve_rows_are_plain_numbers(tmp_path, capsys):
+    f = tmp_path / "t.counts"
+    f.write_text("30 12 5\n10 28 9\n")
+    w = tmp_path / "w.counts"
+    w.write_text("1 2 1\n3 1 2\n")
+    prior = make_prob_table(read_count_table(w).counts / 10.0)
+    curve = tmp_path / "curve.tsv"
+    code, _, _ = run_cli(capsys, "ess", "--input", str(f), "--prior", str(w),
+                         "--dof", "nominal", "--curve", "60", "--curve-points", "31",
+                         "--out", str(curve))
+    assert code == 0
+    _check_curve_rows(curve, f, DofMode.NOMINAL, prior)
+    exp_curve = tmp_path / "exp.tsv"
+    code, _, _ = run_cli(capsys, "experiment", "ess-curve", "--input", str(f),
+                         "--dof", "effective", "--nprime-max", "60", "--nprime-points", "31",
+                         "--out", str(exp_curve))
+    assert code == 0
+    _check_curve_rows(exp_curve, f, DofMode.EFFECTIVE)
 
 
 # ---------------------------------------------------------------------------

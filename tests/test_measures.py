@@ -349,3 +349,17 @@ def test_merging_never_increases_mi():
         t = random_count_table(gen, min_card=4, max_card=4, max_n=2000)
         merged = merge_states(t, ((0, 1), (2, 3)), ((0, 1), (2, 3)))
         assert mi_plugin(merged) <= mi_plugin(t) + 1e-12
+
+
+def test_report_evaluates_each_statistic_once(monkeypatch):
+    import depscore.measures as measures
+
+    calls = {"mi_plugin": 0, "dof": 0, "mean_marginal_entropy": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(measures, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(measures, name, counted)
+    report(from_counts([[30, 12, 5], [10, 28, 9]]))
+    assert calls == {"mi_plugin": 1, "dof": 1, "mean_marginal_entropy": 1}

@@ -92,6 +92,36 @@ def test_reg_gamma_upper_log_survives_underflow():
     assert math.isfinite(lq) and lq < -1900.0
 
 
+def _log_q_reference(s: float, x: float) -> float:
+    """ln Q(s, x) from scipy: chi2.logsf, or in the deep tail, where that
+    underflows, x^(s-1) e^(-x) / Gamma(s) times a quadrature of the
+    integrand scaled by its value at x."""
+    from scipy.integrate import quad
+    from scipy.stats import chi2
+
+    v = float(chi2.logsf(2.0 * x, 2.0 * s))
+    if math.isfinite(v) and v > -700.0:
+        return v
+
+    def log_f(u):
+        return (s - 1.0) * math.log(u) - u
+
+    tail, _ = quad(lambda u: math.exp(log_f(u) - log_f(x)), x, math.inf,
+                   epsabs=0.0, epsrel=1e-10, limit=200)
+    return log_f(x) - math.lgamma(s) + math.log(tail)
+
+
+def test_reg_gamma_upper_large_shape_oracle():
+    # both expansions need O(sqrt(s)) steps near x = s; a fixed cap made the
+    # series raise RuntimeError at s ~ 1e4 (a 142x142 table's dof / 2)
+    pytest.importorskip("scipy")
+    for s in np.geomspace(0.5, 1e5, 40):
+        for x in s * np.linspace(0.5, 10.0, 20):
+            ref = _log_q_reference(float(s), float(x))
+            _, lq = reg_gamma_upper(s, x)
+            assert abs(lq - ref) <= 1e-9 * max(1.0, abs(ref)), (s, x, lq, ref)
+
+
 def test_reg_gamma_upper_domain():
     with pytest.raises(ValueError):
         reg_gamma_upper(0.0, 1.0)

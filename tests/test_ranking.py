@@ -12,13 +12,19 @@ from depscore import (
     MeasureKind,
     ScoredCandidate,
     compare_discretizations,
+    dof,
+    entropy,
     fig2_distribution,
     from_counts,
     is_notable,
+    merge_states,
     mi_bias_corrected,
     mi_plugin,
+    normalized_mi,
+    p_value,
     r_score,
     rank,
+    reg_gamma_upper,
     sample_table,
     score_candidates,
     select_best_feature,
@@ -26,6 +32,7 @@ from depscore import (
     standardized_information,
     substream,
 )
+from depscore.ranking import NI_REFINEMENT_SHARE
 from conftest import random_count_table
 
 BLOCK_PARTS = (((0, 1), (2, 3)), ((0, 1), (2, 3)))
@@ -239,3 +246,90 @@ def test_compare_degenerate_refinement_goes_coarse():
     t = from_counts(c)
     assert compare_discretizations(t, BLOCK_PARTS, MeasureKind.SI,
                                    DofMode.EFFECTIVE) == "coarse"
+
+
+# ---------------------------------------------------------------------------
+# one scoring kernel: parity with the per-measure functions and the old rule
+# ---------------------------------------------------------------------------
+
+def _public_score(t, kind, mode):
+    """(score, key) from the public per-measure functions."""
+    if kind is MeasureKind.MI_PLUGIN:
+        v = mi_plugin(t)
+    elif kind is MeasureKind.MI_BC:
+        v = mi_bias_corrected(t, mode)
+    elif kind is MeasureKind.SI:
+        v = standardized_information(t, mode)
+    elif kind is MeasureKind.SI_FISHER:
+        v = standardized_information(t, mode, fisher_corrected=True)
+    elif kind is MeasureKind.NI:
+        v = normalized_mi(t)
+    else:
+        p_naive, log_p = p_value(t, mode)
+        return p_naive, -log_p
+    return v, v
+
+
+def test_score_candidates_equal_public_functions():
+    gen = np.random.default_rng(8080)
+    tables = [(f"c{i}", random_count_table(gen, max_card=5, max_n=5000, require_dof=True))
+              for i in range(60)]
+    for mode in DofMode:
+        usable = [(cid, t) for cid, t in tables if dof(t, mode) >= 1]
+        for kind in MeasureKind:
+            for cand, (cid, t) in zip(score_candidates(usable, kind, mode), usable):
+                assert cand.id == cid and cand.dof == dof(t, mode) and cand.n == t.n
+                assert (cand.score, cand.key) == _public_score(t, kind, mode)
+
+
+def _reference_choice(t_fine, partitions, kind, mode, alpha):
+    """The refinement rule as one ladder over the measures, written out in full."""
+    t_coarse = merge_states(t_fine, *partitions)
+    n = t_fine.n
+    i_within = max(mi_plugin(t_fine) - mi_plugin(t_coarse), 0.0)
+    d_within = dof(t_fine, mode) - dof(t_coarse, mode)
+    if kind is MeasureKind.MI_PLUGIN:
+        return "fine" if i_within > 0.0 else "coarse"
+    if kind is MeasureKind.NI:
+        p = t_fine.counts / n
+        h_bar = 0.5 * (entropy(p.sum(axis=1)) + entropy(p.sum(axis=0)))
+        if h_bar <= 0.0:
+            return "coarse"
+        return "fine" if i_within / h_bar > NI_REFINEMENT_SHARE else "coarse"
+    if d_within < 1:
+        return "coarse"
+    if kind is MeasureKind.MI_BC:
+        return "fine" if i_within - d_within / (2.0 * n) > 0.0 else "coarse"
+    if kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
+        shift = 0.5 if kind is MeasureKind.SI_FISHER else 0.0
+        si = math.sqrt(2.0 * n * i_within) - math.sqrt(d_within - shift)
+        return "fine" if si > si_threshold(alpha) else "coarse"
+    _, log_q = reg_gamma_upper(d_within / 2.0, n * i_within)
+    return "fine" if log_q < math.log(alpha) else "coarse"
+
+
+def test_compare_discretizations_matches_reference_rule():
+    gen = np.random.default_rng(5150)
+    # the uniform refinement of its coarsening adds exactly zero information
+    cases = [(from_counts(np.kron([[12, 4], [4, 12]], np.ones((2, 2), dtype=int))), BLOCK_PARTS)]
+    for i in range(150):
+        if i % 3 == 0:
+            t = sample_table(fig2_distribution(float(gen.uniform(0.0, 0.125))),
+                             int(gen.integers(20, 800)), substream(5150, i))
+            cases.append((t, BLOCK_PARTS))
+        else:
+            t = random_count_table(gen, min_card=3, max_card=6, max_n=3000)
+            cases.append((t, tuple(
+                (tuple(range(cut)), tuple(range(cut, card)))
+                for card, cut in ((t.card_a, int(gen.integers(1, t.card_a))),
+                                  (t.card_b, int(gen.integers(1, t.card_b)))))))
+    seen = set()
+    for t, parts in cases:
+        for kind in MeasureKind:
+            for mode in DofMode:
+                for alpha in (0.01, 0.05, 0.3):
+                    got = compare_discretizations(t, parts, kind, mode, alpha)
+                    assert got == _reference_choice(t, parts, kind, mode, alpha)
+                    seen.add((kind, got))
+    # both answers occur under every measure, so the rule is exercised
+    assert len(seen) == 2 * len(MeasureKind)
