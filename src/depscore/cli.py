@@ -1,13 +1,19 @@
 """Command-line surface: ingestion, measure reports, ranking, equivalent
 sample size, and experiment execution.
 
-Two input formats are understood. A *count table file* is a
-delimiter-separated integer matrix, `#` comment lines allowed. A *dataset
-file* has a header row of variable names followed by one sample per row of
-arbitrary categorical labels; labels map to dense indices in first-appearance
-order per column, and the mapping is echoed in output comments so sparse-label
-behavior is reproducible. Fields are split on commas if the header contains
-one, else on tabs if present, else on whitespace.
+Two input formats are understood, and one reader splits both. A *count
+table file* is a delimiter-separated integer matrix; `--prior FILE` is read
+as one too, so prior weights must be integers. A *dataset file* has a header
+row of variable names followed by one sample per row of arbitrary categorical
+labels; labels map to dense indices in first-appearance order per column, and
+the mapping is echoed in output comments so sparse-label behavior is
+reproducible. The reader's rules, the same for both formats:
+
+- blank lines, and lines whose first non-blank character is `#`, are
+  skipped, so a dataset row whose first label starts with `#` is dropped;
+- fields are split on commas if the first row contains one, else on tabs if
+  present, else on runs of whitespace, and empty fields are skipped;
+- every row must have as many fields as the first.
 
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,43 +71,43 @@ def _fmt(x) -> str:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _data_lines(path) -> list[str]:
+def _rows(path):
+    """Yield the nonempty fields of each data line of ``path``, one row at a time.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped. The delimiter is sniffed from the first row (comma, else tab,
+    else runs of whitespace), and every row must have as many fields as it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    return [ln for ln in raw if ln.strip() and not ln.lstrip().startswith("#")]
+        delim = width = None
+        for line in fh:
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            if width is None:
+                delim = "," if "," in line else "\t" if "\t" in line else None
+            fields = [f for f in line.rstrip("\n").split(delim) if f]
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ValueError(f"{path}: row arity {len(fields)} != first row arity {width}")
+            yield fields
 
 
-def _split(line: str, delim: str | None) -> list[str]:
-    return line.split(delim) if delim else line.split()
-
-
-def _sniff_delim(line: str) -> str | None:
-    if "," in line:
-        return ","
-    if "\t" in line:
-        return "\t"
-    return None
+def _count_table(rows, path) -> CountTable:
+    counts = []
+    for fields in rows:
+        try:
+            counts.append([int(f) for f in fields])
+        except ValueError:
+            raise ValueError(f"{path}: non-integer entry in count table") from None
+    if not counts:
+        raise ValueError(f"{path}: no data rows")
+    return from_counts(counts)
 
 
 def read_count_table(path) -> CountTable:
     """Parse a delimiter-separated integer matrix into a CountTable."""
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    delim = _sniff_delim(lines[0])
-    rows = []
-    width = None
-    for ln in lines:
-        fields = [f for f in _split(ln, delim) if f != ""]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ValueError(f"{path}: ragged row (expected {width} fields, got {len(fields)})")
-        try:
-            rows.append([int(f) for f in fields])
-        except ValueError:
-            raise ValueError(f"{path}: non-integer entry in count table") from None
-    return from_counts(rows)
+    return _count_table(_rows(path), path)
 
 
 class Dataset:
@@ -125,46 +132,30 @@ class Dataset:
                 raise ValueError(f"column {name!r} has the single label {self.labels[j][0]!r}; "
                                  "a pair needs at least 2 labels per column")
         return from_samples(
-            list(zip(self.columns[ia].tolist(), self.columns[ib].tolist())),
+            np.column_stack((self.columns[ia], self.columns[ib])),
             card_a=len(self.labels[ia]),
             card_b=len(self.labels[ib]),
         )
 
 
-def read_dataset(path) -> Dataset:
-    """Parse a header-plus-samples categorical data file."""
-    lines = _data_lines(path)
-    if len(lines) < 2:
+def _dataset(rows, path) -> Dataset:
+    names = next(rows, None)
+    first = next(rows, None)
+    if first is None:
         raise ValueError(f"{path}: need a header row and at least one sample row")
-    delim = _sniff_delim(lines[0])
-    names = [f for f in _split(lines[0], delim) if f != ""]
-    arity = len(names)
-    if arity < 2:
+    if len(names) < 2:
         raise ValueError(f"{path}: need at least two columns")
     maps: list[dict[str, int]] = [dict() for _ in names]
     cols: list[list[int]] = [[] for _ in names]
-    for ln in lines[1:]:
-        fields = [f for f in _split(ln, delim) if f != ""]
-        if len(fields) != arity:
-            raise ValueError(f"{path}: row arity {len(fields)} != header arity {arity}")
-        for j, val in enumerate(fields):
-            idx = maps[j].setdefault(val, len(maps[j]))
-            cols[j].append(idx)
-    labels = [[lab for lab, _ in sorted(m.items(), key=lambda kv: kv[1])] for m in maps]
-    return Dataset(names, [np.asarray(c, dtype=np.int64) for c in cols], labels)
+    for fields in chain([first], rows):
+        for m, c, val in zip(maps, cols, fields):
+            c.append(m.setdefault(val, len(m)))
+    return Dataset(names, [np.asarray(c, dtype=np.int64) for c in cols], [list(m) for m in maps])
 
 
-def _detect_format(path) -> str:
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: empty input")
-    delim = _sniff_delim(lines[0])
-    head = [f for f in _split(lines[0], delim) if f != ""]
-    try:
-        [int(f) for f in head]
-        return "counts"
-    except ValueError:
-        return "dataset"
+def read_dataset(path) -> Dataset:
+    """Parse a header-plus-samples categorical data file."""
+    return _dataset(_rows(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +167,25 @@ def _dof_mode(args) -> DofMode:
 
 
 def _cmd_measure(args) -> int:
-    fmt = args.format if args.format != "auto" else _detect_format(args.input)
+    rows = _rows(args.input)
+    fmt = args.format
+    if fmt == "auto":
+        head = next(rows, None)
+        if head is None:
+            raise ValueError(f"{args.input}: empty input")
+        try:
+            [int(f) for f in head]
+            fmt = "counts"
+        except ValueError:
+            fmt = "dataset"
+        rows = chain([head], rows)
     out_lines = []
     if fmt == "counts":
         if args.pair:
             raise ValueError("--pair applies to dataset input; a count file is one pair")
-        table = read_count_table(args.input)
+        table = _count_table(rows, args.input)
     else:
-        ds = read_dataset(args.input)
+        ds = _dataset(rows, args.input)
         if args.pair:
             name_a, name_b = args.pair
         elif len(ds.names) == 2:
@@ -289,6 +291,17 @@ def _parse_measures(names: str):
     return tuple(kinds)
 
 
+def _list_of(convert):
+    """An argparse ``type`` for a comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+    return parse
+
+
 def _with_suffix(path: Path, tag: str) -> Path:
     return path.with_name(path.stem + tag + path.suffix) if path.suffix \
         else path.with_name(path.name + tag)
@@ -297,17 +310,12 @@ def _with_suffix(path: Path, tag: str) -> Path:
 def _cmd_experiment(args) -> int:
     mode = _dof_mode(args)
     kinds = _parse_measures(args.measures) if args.measures else DEFAULT_MEASURES
+    study = dict(replicates=args.replicates, measure_kinds=kinds, master_seed=args.seed,
+                 alpha=args.alpha, mode=mode)
+    if args.n_values is not None:
+        study["n_values"] = args.n_values
     if args.name == "fig3":
-        curve = run_feature_selection_experiment(
-            z=args.z,
-            n_values=[int(v) for v in args.n_values.split(",")] if args.n_values else
-            (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384),
-            replicates=args.replicates,
-            measure_kinds=kinds,
-            master_seed=args.seed,
-            alpha=args.alpha,
-            mode=mode,
-        )
+        curve = run_feature_selection_experiment(z=args.z, **study)
         text = format_curve(curve)
         Path(args.out).write_text(text, encoding="utf-8")
         tail = {m: curve.fractions[m][-1] for m in curve.measure_names}
@@ -316,19 +324,7 @@ def _cmd_experiment(args) -> int:
               % (curve.x_values[-1], " ".join(f"{m}={v:.3f}" for m, v in tail.items())))
         return EXIT_OK
     if args.name == "fig2":
-        z_grid = ([float(v) for v in args.z_grid.split(",")] if args.z_grid
-                  else [round(0.01 * i, 10) for i in range(11)])
-        n_values = ([int(v) for v in args.n_values.split(",")] if args.n_values
-                    else (25, 100, 500))
-        curves = run_discretization_experiment(
-            z_grid=z_grid,
-            n_values=n_values,
-            replicates=args.replicates,
-            measure_kinds=kinds,
-            master_seed=args.seed,
-            alpha=args.alpha,
-            mode=mode,
-        )
+        curves = run_discretization_experiment(z_grid=args.z_grid, **study)
         out = Path(args.out)
         for n, curve in curves.items():
             path = _with_suffix(out, f"_n{n}") if len(curves) > 1 else out
@@ -399,10 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--z", type=float, default=0.10, help="dependence parameter (fig3)")
-    p.add_argument("--z-grid", default=None, help="comma-separated z values (fig2)")
-    p.add_argument("--n-values", default=None, help="comma-separated sample sizes")
+    p.add_argument("--z-grid", type=_list_of(float), default=None,
+                   help="comma-separated z values (fig2)")
+    p.add_argument("--n-values", type=_list_of(int), default=None,
+                   help="comma-separated sample sizes")
     p.add_argument("--measures", default=None,
-                   help="comma-separated measure names (default: mi_bc,si,ni,p_value)")
+                   help="comma-separated measure names (default: %s)"
+                   % ",".join(k.value for k in DEFAULT_MEASURES))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--input", default=None, help="count table (ess-curve)")
     p.add_argument("--prior", default="uniform")

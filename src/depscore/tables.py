@@ -113,10 +113,9 @@ def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     card_a, card_b = int(card_a), int(card_b)
     if card_a < 2 or card_b < 2:
         raise ValueError("both cardinalities must be >= 2")
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty sample produces an all-zero table")
     idx = np.asarray(pairs, dtype=np.int64)
+    if not idx.size:
+        raise ValueError("empty sample produces an all-zero table")
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (a, b) index pairs")
     if np.any(idx < 0) or np.any(idx[:, 0] >= card_a) or np.any(idx[:, 1] >= card_b):

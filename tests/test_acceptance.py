@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,8 +228,9 @@ def test_criterion_10_experiment_determinism(tmp_path):
     out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     cmd = [sys.executable, "-m", "depscore", "experiment", "fig3",
            "--seed", "11", "--replicates", "100"]
-    ra = subprocess.run(cmd + ["--out", str(out_a)], capture_output=True, text=True)
-    rb = subprocess.run(cmd + ["--out", str(out_b)], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    ra = subprocess.run(cmd + ["--out", str(out_a)], capture_output=True, text=True, env=env)
+    rb = subprocess.run(cmd + ["--out", str(out_b)], capture_output=True, text=True, env=env)
     same = out_a.read_bytes() == out_b.read_bytes()
     verdict(10, "experiment rerun byte-identical",
             ra.returncode == 0 and rb.returncode == 0 and same,

@@ -49,7 +49,7 @@ def test_read_count_table_comma_delimited(tmp_path):
 def test_read_count_table_ragged(tmp_path):
     f = tmp_path / "bad.counts"
     f.write_text("1 2 3\n4 5\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity"):
         read_count_table(f)
 
 
@@ -61,6 +61,102 @@ def test_read_dataset_first_appearance_mapping(tmp_path):
     assert ds.labels[0] == ["red", "blue"]
     t = ds.pair_table("color", "size")
     assert t.counts.tolist() == [[2, 0], [0, 1]]
+
+
+def reference_dataset(rows):
+    """First-appearance label maps and index columns, one row at a time."""
+    maps = [dict() for _ in rows[0]]
+    cols = [[] for _ in rows[0]]
+    for row in rows:
+        for j, val in enumerate(row):
+            if val not in maps[j]:
+                maps[j][val] = len(maps[j])
+            cols[j].append(maps[j][val])
+    return [list(m) for m in maps], cols
+
+
+def reference_pair_counts(col_a, col_b, card_a, card_b):
+    counts = [[0] * card_b for _ in range(card_a)]
+    for a, b in zip(col_a, col_b):
+        counts[a][b] += 1
+    return counts
+
+
+@pytest.mark.parametrize("delim", [",", ",,", "\t", "\t\t", " ", "   "],
+                         ids=["comma", "commas", "tab", "tabs", "space", "spaces"])
+def test_read_dataset_matches_reference(tmp_path, delim):
+    gen = np.random.default_rng(sum(map(ord, delim)))
+    names = [f"v{j}" for j in range(6)]
+    rows = []
+    for _ in range(300):
+        rows.append([f"{'#' if j and gen.random() < 0.1 else ''}s{j}_{int(gen.integers(0, 2 + j))}"
+                     for j in range(len(names))])
+    lines = [delim.join(names)]
+    for i, row in enumerate(rows):
+        if i % 50 == 7:
+            lines.append("# a comment line")
+        if i % 60 == 11:
+            lines.append("   ")
+        lines.append(delim.join(row))
+    f = tmp_path / "d.txt"
+    f.write_text("\n".join(lines) + "\n")
+    labels, cols = reference_dataset(rows)
+    ds = read_dataset(f)
+    assert ds.names == names
+    assert ds.labels == labels
+    assert [c.tolist() for c in ds.columns] == cols
+    for a, b in ((0, 5), (3, 1), (2, 2)):
+        t = ds.pair_table(names[a], names[b])
+        assert t.counts.tolist() == reference_pair_counts(
+            cols[a], cols[b], len(labels[a]), len(labels[b]))
+
+
+def test_dataset_row_with_hash_first_label_is_a_comment(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("a,b\n#x,u\ny,v\nx,#u\ny,v\n")
+    ds = read_dataset(f)
+    assert ds.labels == [["y", "x"], ["v", "#u"]]
+    assert [c.tolist() for c in ds.columns] == [[0, 1, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    pytest.param("bad.counts", "1 2 3\n4 5\n", ["measure", "--format", "counts"],
+                 id="measure-counts"),
+    pytest.param("bad.counts", "1 2\n3 4 5\n", ["ess"], id="ess-counts"),
+    pytest.param("bad.csv", "a,b,y\nx,u,p\nx,u\n", ["rank", "--class-column", "y"],
+                 id="rank-dataset"),
+    pytest.param("bad.csv", "a,b\nx,u\ny,v,w\n", ["measure"], id="measure-dataset"),
+])
+def test_ragged_input_exits_1_naming_arity(tmp_path, capsys, name, text, argv):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    assert code == 1 and out == ""
+    assert "arity" in err
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    pytest.param("t.counts", "# weights\n2 1\n1 2\n", [], id="counts"),
+    pytest.param("d.tsv", "a\tb\nx\tu\ny\tv\nx\tv\n", [], id="dataset"),
+    pytest.param("d.csv", "f,g,y\nx,u,p\ny,v,q\nx,v,p\n", ["--pair", "f", "y"],
+                 id="dataset-pair"),
+])
+def test_measure_opens_input_once(tmp_path, capsys, monkeypatch, name, text, argv):
+    f = tmp_path / name
+    f.write_text(text)
+    real_open = open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(f):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, err = run_cli(capsys, "measure", "--input", str(f), *argv)
+    assert code == 0, err
+    assert "n\t" in out
+    assert len(opened) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +446,19 @@ def test_experiment_fig2_default_fractions_in_range(tmp_path, capsys):
     for row in lines[1:]:
         for cell in row.split("\t")[1:-1]:   # last column is p_underflow
             assert 0.0 <= float(cell) <= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--n-values", ""],
+    ["fig3", "--n-values", "32,,64"],
+    ["fig2", "--n-values", ""],
+    ["fig2", "--z-grid", ""],
+    ["fig2", "--z-grid", "0.0,x"],
+])
+def test_experiment_bad_list_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "curve.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", *argv, "--replicates", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "comma-separated" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,13 +1,17 @@
-"""Golden bytes of the seeded studies: `experiment fig2` and `fig3` output.
+"""Golden bytes of the seeded studies (`experiment fig2` and `fig3`) and of
+`rank` and `measure` on a seeded dataset.
 
 The hashes pin every byte of the curve files at fixed seeds and small
-replicate counts, so a change to sampling order, substream use, scoring or
-serialization shows up here even when each value stays plausible.
+replicate counts, and of the ranking and report files of a dataset the test
+writes, so a change to sampling order, substream use, ingest, tabulation,
+scoring or serialization shows up here even when each value stays plausible.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 from depscore.cli import main
 
@@ -38,3 +42,69 @@ def test_fig3_golden_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert sha256(out) == FIG3_SHA256
+
+
+def write_wide_dataset(path) -> None:
+    """A seeded 600 x 41 CSV of string labels: class `y` and 40 noisy copies of it.
+
+    Feature j takes ``(y + noise) % k`` with ``k`` in 2-8 and 30% noise, so every
+    feature has at least two labels and a table with positive effective dof.
+    Labels are drawn from per-column shuffled names, so first-appearance order
+    differs from sorted order; a comment line and a blank line ride along.
+    """
+    rng = np.random.default_rng(20_240_607)
+    n = 600
+    y = rng.integers(0, 4, n)
+    names = ["y"] + [f"f{j:02d}" for j in range(40)]
+    cols = [np.array([f"c{v}" for v in "wxzq"])[y]]
+    for j in range(40):
+        k = int(rng.integers(2, 9))
+        v = np.where(rng.random(n) < 0.3, rng.integers(0, k, n), y % k)
+        tags = rng.permutation([f"s{j}_{i}" for i in range(k)])
+        cols.append(tags[v])
+    lines = [",".join(names), "# a comment line", ""]
+    lines += [",".join(row) for row in zip(*cols)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+MEASURES = ("mi_plugin", "mi_bc", "si", "si_fisher", "ni", "p_value")
+RANK_SHA256 = {
+    "mi_plugin/effective": "1c7d00ac6231964ab500c1bfa45e5c9be8114f62fa52e8a06f8f827d2aa64fd3",
+    "mi_bc/effective": "bff729c18ecb08dcc61b8f73b19062e5a975fe6c77a62f3bb8250478aa46cf2b",
+    "si/effective": "a343d7cc832418840636327ef3488704735f4a4fcd2993d3431ef02d5aa49c50",
+    "si_fisher/effective": "8b123544234b409f22eccea75918bd7eb8a1ed9cf810e1874017efdb00676857",
+    "ni/effective": "1fbd589e19767ba2752fa11cc993af9050ca0b2b383fba2132e11a752c14c785",
+    "p_value/effective": "dbb657147d77ed00880eb1fc21be7858df2652904a0b80a55774daf9941d388d",
+    "mi_plugin/nominal": "817cafc0ffd45b81699ad99ed38ebf3ab7e2a2315fc352a29825a214fffa88e1",
+    "mi_bc/nominal": "da5699e46e2df551a192d734fa105c296ef5efe93dbf115184ef5a740f6656fa",
+    "si/nominal": "4f8b96769c434926d0f8811e9f0f8f48b9b4d3e8bfb84ea0712b50ac750b37f0",
+    "si_fisher/nominal": "b80f61697d3f7f7f5c18b818c04860f87e6571cec84bdb6157bc1117fcba0d40",
+    "ni/nominal": "1afa8dff8147fb946f12ec094e10fb62f570d37fcd9acbc4539e6e7260272cfc",
+    "p_value/nominal": "742b453a53523736db1ff9df33dca9d95a28320c635503e2ea4ad26cd916b996",
+}
+MEASURE_PAIR_SHA256 = "15571c09bece3e574affea4ed557416516b208f51abe2d867364f9ae875e63b9"
+
+
+def test_rank_golden_bytes(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    write_wide_dataset(data)
+    got = {}
+    for mode in ("effective", "nominal"):
+        for m in MEASURES:
+            out = tmp_path / f"rank_{m}_{mode}.tsv"
+            code = main(["rank", "--input", str(data), "--class-column", "y",
+                         "--measure", m, "--dof", mode, "--out", str(out)])
+            assert code == 0
+            got[f"{m}/{mode}"] = sha256(out)
+    capsys.readouterr()
+    assert got == RANK_SHA256
+
+
+def test_measure_pair_golden_bytes(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    write_wide_dataset(data)
+    out = tmp_path / "measure.tsv"
+    code = main(["measure", "--input", str(data), "--pair", "f07", "y", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert sha256(out) == MEASURE_PAIR_SHA256

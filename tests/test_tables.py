@@ -58,6 +58,8 @@ def test_from_samples_empty_and_range():
     with pytest.raises(ValueError):
         from_samples([], 2, 2)
     with pytest.raises(ValueError):
+        from_samples(np.empty((0, 2), dtype=np.int64), 2, 2)
+    with pytest.raises(ValueError):
         from_samples([(0, 2)], 2, 2)
     with pytest.raises(ValueError):
         from_samples([(-1, 0)], 2, 2)
@@ -66,6 +68,18 @@ def test_from_samples_empty_and_range():
 def test_from_samples_length():
     pairs = [(i % 2, (i // 2) % 3) for i in range(1000)]
     assert from_samples(pairs, 2, 3).n == 1000
+
+
+def test_from_samples_array_equals_tuples():
+    gen = np.random.default_rng(17)
+    for _ in range(50):
+        a, b = (int(v) for v in gen.integers(2, 9, 2))
+        n = int(gen.integers(1, 400))
+        idx = np.column_stack((gen.integers(0, a, n), gen.integers(0, b, n))).astype(np.int64)
+        as_array = from_samples(idx, a, b)
+        as_tuples = from_samples([tuple(r) for r in idx.tolist()], a, b)
+        assert as_array.counts.dtype == as_tuples.counts.dtype == np.int64
+        assert np.array_equal(as_array.counts, as_tuples.counts)
 
 
 # ---------------------------------------------------------------------------
