@@ -33,17 +33,16 @@ from .experiments import (
     run_discretization_experiment,
     run_feature_selection_experiment,
     sample_nb_dataset,
-    write_curve,
 )
 from .measures import (
     DependenceReport,
     MeasureKind,
     conditional_entropy,
     entropy,
-    independence_std,
     mean_marginal_entropy,
-    mi_bias_corrected,
+    mean_marginal_entropy_stack,
     mi_plugin,
+    mi_plugin_stack,
     normalized_mi,
     p_value,
     r_score,
@@ -65,7 +64,6 @@ from .ranking import (
     is_notable,
     rank,
     score_candidates,
-    select_best_feature,
     si_threshold,
 )
 from .tables import (
@@ -73,6 +71,7 @@ from .tables import (
     DofMode,
     ProbTable,
     dof,
+    dof_stack,
     empirical_joint,
     from_counts,
     from_samples,

@@ -17,8 +17,9 @@ reproducible. The reader's rules, the same for both formats:
 
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
-0 success, 2 usage errors, 3 no-root (equivalent sample size), 1 other input
-or domain errors.
+0 success; 2 usage errors, among them an empty, malformed or unknown entry in
+`--n-values`, `--z-grid` or `--measures`; 3 no-root (equivalent sample
+size); 1 other input or domain errors.
 """
 
 from __future__ import annotations
@@ -204,17 +205,12 @@ def _cmd_measure(args) -> int:
             out_lines.append(f"{fld}\t{_fmt(getattr(rep, fld))}")
     else:
         # dof-based measures are undefined; emit what remains
-        out_lines.append(f"# partial report: {mode.value} dof is 0")
-        out_lines.append(f"n\t{_fmt(table.n)}")
-        out_lines.append(f"dof\t{_fmt(d)}")
-        mi = mi_plugin(table)
-        out_lines.append(f"mi_plugin\t{_fmt(mi)}")
-        out_lines.append(f"mi_bc\t{_fmt(score(MeasureKind.MI_BC, mi, d, table.n)[0])}")
-        try:
-            ni = score(MeasureKind.NI, mi, d, table.n, mean_marginal_entropy(table))[0]
-            out_lines.append(f"ni\t{_fmt(ni)}")
-        except ValueError:
-            pass
+        mi, h_bar = mi_plugin(table), mean_marginal_entropy(table)
+        out_lines += [f"# partial report: {mode.value} dof is 0", f"n\t{_fmt(table.n)}",
+                      f"dof\t{_fmt(d)}", f"mi_plugin\t{_fmt(mi)}",
+                      f"mi_bc\t{_fmt(score(MeasureKind.MI_BC, mi, d, table.n)[0])}"]
+        if h_bar > 0.0:
+            out_lines.append(f"ni\t{_fmt(score(MeasureKind.NI, mi, d, table.n, h_bar)[0])}")
     _emit("\n".join(out_lines) + "\n", args.out)
     return EXIT_OK
 
@@ -280,25 +276,14 @@ def _cmd_ess(args) -> int:
     return EXIT_OK
 
 
-def _parse_measures(names: str):
-    kinds = []
-    for name in names.split(","):
-        name = name.strip()
-        if name:
-            kinds.append(MeasureKind(name))
-    if not kinds:
-        raise ValueError("no measures given")
-    return tuple(kinds)
-
-
-def _list_of(convert):
+def _list_of(convert, what: str):
     """An argparse ``type`` for a comma-separated list of ``convert`` values."""
     def parse(text: str) -> list:
         try:
             return [convert(v) for v in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+                f"expected comma-separated {what}, got {text!r}") from None
     return parse
 
 
@@ -309,11 +294,11 @@ def _with_suffix(path: Path, tag: str) -> Path:
 
 def _cmd_experiment(args) -> int:
     mode = _dof_mode(args)
-    kinds = _parse_measures(args.measures) if args.measures else DEFAULT_MEASURES
-    study = dict(replicates=args.replicates, measure_kinds=kinds, master_seed=args.seed,
-                 alpha=args.alpha, mode=mode)
+    study = dict(replicates=args.replicates, master_seed=args.seed, alpha=args.alpha, mode=mode)
     if args.n_values is not None:
         study["n_values"] = args.n_values
+    if args.measures is not None:
+        study["measure_kinds"] = args.measures
     if args.name == "fig3":
         curve = run_feature_selection_experiment(z=args.z, **study)
         text = format_curve(curve)
@@ -395,11 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--z", type=float, default=0.10, help="dependence parameter (fig3)")
-    p.add_argument("--z-grid", type=_list_of(float), default=None,
+    p.add_argument("--z-grid", type=_list_of(float, "float values"), default=None,
                    help="comma-separated z values (fig2)")
-    p.add_argument("--n-values", type=_list_of(int), default=None,
+    p.add_argument("--n-values", type=_list_of(int, "int values"), default=None,
                    help="comma-separated sample sizes")
-    p.add_argument("--measures", default=None,
+    names = ", ".join(k.value for k in MeasureKind)
+    p.add_argument("--measures", type=_list_of(lambda v: MeasureKind(v.strip()),
+                                               f"measures out of {names}"), default=None,
                    help="comma-separated measure names (default: %s)"
                    % ",".join(k.value for k in DEFAULT_MEASURES))
     p.add_argument("--alpha", type=float, default=0.05)

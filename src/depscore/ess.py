@@ -115,9 +115,9 @@ def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
     n = float(t.n)
     ra = c.sum(axis=1)
     cb = c.sum(axis=0)
-    if np.any(ra == 0) or np.any(cb == 0):
+    if (ra == 0).any() or (cb == 0).any():
         raise ValueError("table has an empty row or column; strip degenerate states first")
-    used_safe = bool(np.any(c == 0))
+    used_safe = bool((c == 0).any())
     joint = np.maximum(c, 1) / n if used_safe else c / n
     marg = (ra.astype(float)[:, None] * cb.astype(float)[None, :]) / (n * n)
     field = np.log(joint / marg)

@@ -23,17 +23,23 @@ Naive Bayes model (feature selection study)
     with the class near z ~ 0.088; the study tracks how often each measure
     prefers a binary feature as the sample grows.
 
-Decision protocols. For discretization, each sampled table is judged by
-the refinement-increment rule of
-:func:`depscore.ranking.compare_discretizations`, from statistics computed
-once for every measure. For feature selection, the best binary and best
-4-state candidate are compared on the measure's key, and the 4-state
-winner is accepted only if it clears the simpler winner by the measure's
-own significance margin (the notability threshold for standardized
-information, ``alpha`` on the log scale for the p-value, nothing for the
-additive and normalized measures). Both protocols run on nominal degrees
-of freedom: the null calibration of the incremental statistic is what the
-decision thresholds assume.
+Stacks. One replicate's tables are sampled into (G, a, b) count stacks, and
+no stack spans two replicates: discretization draws one (len(z_grid) *
+len(n_values), 4, 4) stack, z-major; feature selection a (10, 2, 4) and a
+(10, 4, 4) stack per sample size. The stack kernels equal the per-table
+functions bit for bit, so each curve is the one a table-by-table run gives.
+
+Decision protocols (:mod:`depscore.ranking`). For discretization, each
+table is judged by the refinement-increment rule of ``compare_discretizations``,
+from statistics computed once for every measure. For feature selection, the
+first best binary and best 4-state candidate are compared on the measure's
+key, and the 4-state winner is accepted only if it clears the simpler winner
+by the measure's own significance margin (the notability threshold for
+standardized information, ``alpha`` on the log scale for the p-value,
+nothing for the additive and normalized measures); a candidate with zero dof
+under a dof-based measure ranks last, with p = 1. Both protocols run on
+nominal degrees of freedom by default: the null calibration of the
+incremental statistic is what the decision thresholds assume.
 
 The naive p-value is additionally evaluated for both hypotheses of each
 decision. When it rounds to exactly zero for both, the event is counted in
@@ -52,16 +58,9 @@ import numpy as np
 from . import measures as meas
 from .measures import MeasureKind
 from .numerics import RandomStream, bisect_root, substream
-from .ranking import _increment_score, _margin, _refinement, _refinement_margin
-from .tables import (
-    CountTable,
-    DofMode,
-    ProbTable,
-    dof,
-    from_counts,
-    make_prob_table,
-    sample_table,
-)
+from .ranking import (first_best, refinement_increment, refinement_margin, selection_margin,
+                      stack_scores)
+from .tables import CountTable, DofMode, ProbTable, dof_stack, from_counts, make_prob_table
 
 __all__ = [
     "FIG2_PARTITIONS",
@@ -75,7 +74,6 @@ __all__ = [
     "run_feature_selection_experiment",
     "ess_constraint_curve",
     "format_curve",
-    "write_curve",
     "DEFAULT_MEASURES",
 ]
 
@@ -150,11 +148,37 @@ def nb_true_mi(model: NaiveBayesModel, which: str) -> float:
 def nb_equal_mi_z() -> float:
     """The z at which binary and four-state features carry equal true MI."""
     target = nb_true_mi(NaiveBayesModel(0.0), "binary")
+    return bisect_root(lambda z: nb_true_mi(NaiveBayesModel(z), "four_state") - target,
+                       0.0, 0.25, xtol=1e-12)
 
-    def gap(z: float) -> float:
-        return nb_true_mi(NaiveBayesModel(z), "four_state") - target
 
-    return bisect_root(gap, 0.0, 0.25, xtol=1e-12)
+# Sampled cells are counted at 16*j + 4*x + y for feature j, feature state x
+# and class y: below 256 for 10 features, so the codes fit in uint8.
+_FEATURE_BASE = (N_CLASSES**2 * np.arange(N_FOUR_STATE_FEATURES)).astype(np.uint8)
+# A four-state feature lands on (y + 1 + code) % 4, where code is 3 when it
+# copies the class and the drawn shift (0..2) otherwise: the code of (x, y).
+_FOUR_STATE_CODE = (np.arange(N_CLASSES)[:, None] - np.arange(N_CLASSES) - 1) % N_CLASSES
+
+
+def _sample_nb_stacks(model: NaiveBayesModel, n: int,
+                      stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """n joint draws of (class, all 20 features), as a (10, 2, 4) binary and a
+    (10, 4, 4) four-state stack of feature-by-class count tables."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gen = stream.generator
+    y = gen.integers(0, N_CLASSES, size=n)
+    x_bin = gen.random((n, N_BINARY_FEATURES)) < np.asarray(P_BINARY_GIVEN_CLASS)[y][:, None]
+    same = gen.random((n, N_FOUR_STATE_FEATURES)) < model.p_same
+    code = gen.integers(0, N_CLASSES - 1, size=(n, N_FOUR_STATE_FEATURES)).astype(np.uint8)
+    code |= 3 * same.astype(np.uint8)
+    base = y.astype(np.uint8)[:, None] + _FEATURE_BASE
+    cells = N_CLASSES**2 * N_FOUR_STATE_FEATURES
+    binary = np.bincount((base + 4 * x_bin.astype(np.uint8)).ravel(), minlength=cells)
+    by_code = np.bincount((base + 4 * code).ravel(), minlength=cells).reshape(-1, 4, 4)
+    return (binary.reshape(-1, 4, 4)[:, :2],
+            by_code[:, _FOUR_STATE_CODE, np.arange(N_CLASSES)])
 
 
 def sample_nb_dataset(model: NaiveBayesModel, n: int,
@@ -166,24 +190,8 @@ def sample_nb_dataset(model: NaiveBayesModel, n: int,
     columns. Draw order is fixed (class block, binary block, four-state
     block) so a given stream always yields the same dataset.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gen = stream.generator
-    y = gen.integers(0, N_CLASSES, size=n)
-    p1 = np.asarray(P_BINARY_GIVEN_CLASS)
-    x_bin = (gen.random((n, N_BINARY_FEATURES)) < p1[y][:, None]).astype(np.int64)
-    same = gen.random((n, N_FOUR_STATE_FEATURES)) < model.p_same
-    shift = gen.integers(0, N_CLASSES - 1, size=(n, N_FOUR_STATE_FEATURES))
-    x_four = np.where(same, y[:, None], (y[:, None] + 1 + shift) % N_CLASSES)
-    out: list[tuple[str, CountTable]] = []
-    for j in range(N_BINARY_FEATURES):
-        flat = np.bincount(x_bin[:, j] * N_CLASSES + y, minlength=2 * N_CLASSES)
-        out.append((f"x{j + 1:02d}", from_counts(flat.reshape(2, N_CLASSES))))
-    for j in range(N_FOUR_STATE_FEATURES):
-        flat = np.bincount(x_four[:, j] * N_CLASSES + y, minlength=N_CLASSES * N_CLASSES)
-        out.append((f"x{j + 11:02d}", from_counts(flat.reshape(N_CLASSES, N_CLASSES))))
-    return out
+    binary, four = _sample_nb_stacks(model, n, stream)
+    return [(f"x{j + 1:02d}", from_counts(c)) for j, c in enumerate((*binary, *four))]
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,32 @@ class ExperimentCurve:
     p_underflow: tuple[int, ...] | None = None
 
 
+def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]:
+    replicates, kinds, n_values = int(replicates), tuple(measure_kinds), tuple(map(int, n_values))
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if min(n_values, default=1) < 1:
+        raise ValueError("n must be >= 1")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError("measures must be distinct")
+    return replicates, kinds, n_values
+
+
+def _curve(x_label: str, x_values, kinds, counts, underflow, replicates: int, master_seed: int,
+           alpha: float, mode: DofMode, **config) -> ExperimentCurve:
+    """The curve of favor-2 counts ``counts[j][i]`` of ``kinds[j]`` at ``x_values[i]``."""
+    return ExperimentCurve(
+        x_label=x_label,
+        x_values=tuple(x_values),
+        measure_names=tuple(k.value for k in kinds),
+        fractions={k.value: tuple(c / replicates for c in row) for k, row in zip(kinds, counts)},
+        replicates=replicates,
+        master_seed=int(master_seed),
+        config={**config, "alpha": repr(float(alpha)), "dof_mode": mode.value},
+        p_underflow=tuple(underflow) if MeasureKind.P_VALUE in kinds else None,
+    )
+
+
 def run_discretization_experiment(
     z_grid=None,
     n_values=(25, 100, 500),
@@ -220,69 +254,48 @@ def run_discretization_experiment(
 ) -> dict[int, ExperimentCurve]:
     """Fractions favoring 2 states over 4 on the block family, per (n, z).
 
-    For each (z, n, replicate) a table is sampled from
-    :func:`fig2_distribution` and judged by ``compare_discretizations``
-    under each measure. Returns one curve per n with z on the x axis.
+    For each replicate, one table per (z, n) is sampled from
+    :func:`fig2_distribution` into one (len(z_grid) * len(n_values), 4, 4)
+    stack, and each table is judged by the refinement rule of
+    ``compare_discretizations`` under each measure. Returns one curve per n
+    with z on the x axis.
     """
     if z_grid is None:
         z_grid = tuple(round(0.01 * i, 10) for i in range(11))
     z_grid = tuple(float(z) for z in z_grid)
-    n_values = tuple(int(n) for n in n_values)
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    kinds = tuple(measure_kinds)
-    dists = {z: fig2_distribution(z) for z in z_grid}
-
-    favor2 = {n: {k: [0] * len(z_grid) for k in kinds} for n in n_values}
-    underflow = {n: [0] * len(z_grid) for n in n_values}
-    want_p = MeasureKind.P_VALUE in kinds
-    margins = {k: _refinement_margin(k, alpha) for k in kinds}
+    replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
+    if len(set(n_values)) < len(n_values):
+        raise ValueError("n_values must be distinct: each gets its own curve")
+    # one replicate's tables, in draw order: z-major, then n
+    cells = [(fig2_distribution(z).probs.ravel(), n) for z in z_grid for n in n_values]
+    ns = np.array([n for _, n in cells], dtype=np.int64)
+    favor2 = np.zeros((len(kinds), len(cells)), dtype=np.int64)
+    underflow = np.zeros(len(cells), dtype=np.int64)
+    margins = [refinement_margin(k, alpha) for k in kinds]
 
     for r in range(replicates):
-        stream = substream(master_seed, r)
-        for zi, z in enumerate(z_grid):
-            for n in n_values:
-                ref = _refinement(sample_table(dists[z], n, stream), FIG2_PARTITIONS, mode)
-                for k in kinds:
-                    scored = _increment_score(ref, k)
-                    fine = scored is not None and scored[1] > margins[k]
-                    if k is MeasureKind.P_VALUE and scored is not None and scored[0] == 0.0 \
-                            and meas.score(k, ref.mi_fine, ref.d_fine, ref.n)[0] == 0.0:
-                        underflow[n][zi] += 1
-                        fine = False  # deliberately wrong, to expose the failure
-                    if not fine:
-                        favor2[n][k][zi] += 1
+        gen = substream(master_seed, r).generator
+        fine = np.array([gen.multinomial(n, p) for p, n in cells]).reshape(-1, 4, 4)
+        coarse = fine.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
+        mi_fine, d_fine = meas.mi_plugin_stack(fine), dof_stack(fine, mode)
+        mi_within, d_within = refinement_increment(
+            mi_fine, d_fine, meas.mi_plugin_stack(coarse), dof_stack(coarse, mode))
+        h_bar = meas.mean_marginal_entropy_stack(fine) if MeasureKind.NI in kinds else None
+        for j, k in enumerate(kinds):
+            scores, keys = stack_scores(k, mi_within, d_within, ns, h_bar)
+            favors_fine = keys > margins[j]
+            if k is MeasureKind.P_VALUE:
+                for i in np.flatnonzero(scores == 0.0):
+                    if meas.score(k, float(mi_fine[i]), int(d_fine[i]), int(ns[i]))[0] == 0.0:
+                        underflow[i] += 1
+                        favors_fine[i] = False  # deliberately wrong, to expose the failure
+            favor2[j] += ~favors_fine
 
-    out: dict[int, ExperimentCurve] = {}
-    for n in n_values:
-        out[n] = ExperimentCurve(
-            x_label="z",
-            x_values=z_grid,
-            measure_names=tuple(k.value for k in kinds),
-            fractions={k.value: tuple(c / replicates for c in favor2[n][k]) for k in kinds},
-            replicates=replicates,
-            master_seed=int(master_seed),
-            config={
-                "experiment": "discretization",
-                "n": str(n),
-                "alpha": repr(float(alpha)),
-                "dof_mode": mode.value,
-            },
-            p_underflow=tuple(underflow[n]) if want_p else None,
-        )
-    return out
-
-
-# A candidate with zero dof carries no estimable dependence under a
-# dof-based measure: it ranks last, with p = 1, rather than aborting the study.
-_NO_SCORE = (1.0, -math.inf)
-
-
-def _best(stats, kind: MeasureKind) -> tuple[float, float]:
-    """(score, key) of the first candidate with the highest key."""
-    return max((_NO_SCORE if kind.needs_dof and st[1] < 1 else meas.score(kind, *st)
-                for st in stats), key=lambda scored: scored[1])
+    favor2 = favor2.reshape(len(kinds), len(z_grid), len(n_values))
+    underflow = underflow.reshape(len(z_grid), len(n_values))
+    return {n: _curve("z", z_grid, kinds, favor2[:, :, i].tolist(), underflow[:, i].tolist(),
+                      replicates, master_seed, alpha, mode, experiment="discretization", n=str(n))
+            for i, n in enumerate(n_values)}
 
 
 def run_feature_selection_experiment(
@@ -297,58 +310,37 @@ def run_feature_selection_experiment(
     """Fraction of replicates where each measure prefers a binary feature.
 
     Per replicate and sample size, a dataset is drawn from the naive Bayes
-    model, the best binary and best four-state candidate are found on the
-    measure's key, and the four-state winner is taken only when it beats
-    the binary winner by the measure's significance margin.
+    model as a (10, 2, 4) binary and a (10, 4, 4) four-state stack, the best
+    binary and best four-state candidate are found on the measure's key, and
+    the four-state winner is taken only when it beats the binary winner by
+    the measure's significance margin.
     """
     model = NaiveBayesModel(float(z))
-    n_values = tuple(int(n) for n in n_values)
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    kinds = tuple(measure_kinds)
-    want_p = MeasureKind.P_VALUE in kinds
+    replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
     # footnote convention: when the naive p-value dies for both winners, the
     # plotted choice is the arity the true model does NOT favor at this z
     four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")
-
-    favor2 = {k: [0] * len(n_values) for k in kinds}
+    favor2 = np.zeros((len(kinds), len(n_values)), dtype=np.int64)
     underflow = [0] * len(n_values)
-    margins = {k: _margin(k, alpha) for k in kinds}
-    want_h_bar = MeasureKind.NI in kinds
+    margins = [selection_margin(k, alpha) for k in kinds]
 
     for r in range(replicates):
         stream = substream(master_seed, r)
-        for ni_, n in enumerate(n_values):
-            stats2, stats4 = [], []
-            for _, t in sample_nb_dataset(model, n, stream):
-                h_bar = meas.mean_marginal_entropy(t) if want_h_bar else None
-                (stats2 if t.card_a == 2 else stats4).append(
-                    (meas.mi_plugin(t), dof(t, mode), t.n, h_bar))
-            for k in kinds:
-                best2, best4 = _best(stats2, k), _best(stats4, k)
-                favors_two = not (best4[1] > best2[1] + margins[k])
+        for i, n in enumerate(n_values):
+            stats2, stats4 = ((meas.mi_plugin_stack(c), dof_stack(c, mode), np.full(len(c), n),
+                               meas.mean_marginal_entropy_stack(c) if MeasureKind.NI in kinds
+                               else None) for c in _sample_nb_stacks(model, n, stream))
+            for j, k in enumerate(kinds):
+                best2, best4 = (first_best(*stack_scores(k, *st)) for st in (stats2, stats4))
+                favors_two = not (best4[1] > best2[1] + margins[j])
                 if k is MeasureKind.P_VALUE and best2[0] == 0.0 and best4[0] == 0.0:
-                    underflow[ni_] += 1
+                    underflow[i] += 1
                     favors_two = four_truly_better  # deliberately wrong
-                if favors_two:
-                    favor2[k][ni_] += 1
+                favor2[j, i] += favors_two
 
-    return ExperimentCurve(
-        x_label="n",
-        x_values=tuple(float(n) for n in n_values),
-        measure_names=tuple(k.value for k in kinds),
-        fractions={k.value: tuple(c / replicates for c in favor2[k]) for k in kinds},
-        replicates=replicates,
-        master_seed=int(master_seed),
-        config={
-            "experiment": "feature_selection",
-            "z": repr(float(z)),
-            "alpha": repr(float(alpha)),
-            "dof_mode": mode.value,
-        },
-        p_underflow=tuple(underflow) if want_p else None,
-    )
+    return _curve("n", (float(n) for n in n_values), kinds, favor2.tolist(), underflow,
+                  replicates, master_seed, alpha, mode, experiment="feature_selection",
+                  z=repr(float(z)))
 
 
 def ess_constraint_curve(t: CountTable, q: ProbTable | None = None,
@@ -371,12 +363,9 @@ def ess_constraint_curve(t: CountTable, q: ProbTable | None = None,
 
 def format_curve(curve: ExperimentCurve) -> str:
     """Tab-separated text: '#' config comments, header row, one row per x."""
-    lines = []
-    lines.append("# depscore experiment curve")
-    lines.append(f"# master_seed: {curve.master_seed}")
-    lines.append(f"# replicates: {curve.replicates}")
-    for key in sorted(curve.config):
-        lines.append(f"# {key}: {curve.config[key]}")
+    lines = ["# depscore experiment curve", f"# master_seed: {curve.master_seed}",
+             f"# replicates: {curve.replicates}"]
+    lines += [f"# {key}: {curve.config[key]}" for key in sorted(curve.config)]
     header = [curve.x_label] + list(curve.measure_names)
     if curve.p_underflow is not None:
         header.append("p_underflow")
@@ -388,9 +377,3 @@ def format_curve(curve: ExperimentCurve) -> str:
             row.append(str(curve.p_underflow[i]))
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
-
-
-def write_curve(curve: ExperimentCurve, path) -> None:
-    """Write :func:`format_curve` output to a file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_curve(curve))

@@ -8,33 +8,28 @@ happens here; smoothing is the job of :mod:`depscore.ess`.
 
 Each measure is a function of the plug-in MI, the dof d and N (normalized
 MI also needs the mean marginal entropy); :func:`score` holds each formula
-once, and the per-table functions are thin calls to it. The measures:
+once, and the per-table functions are thin calls to it (the
+:class:`DependenceReport` of :func:`report` holds every one):
 
-``mi_plugin``
-    Plug-in mutual information of the empirical joint, in nats.
-``mi_bias_corrected``
-    Plug-in value minus its leading-order inflation d/(2N) under independence.
-``independence_std``
-    Standard deviation of the plug-in estimator under independence,
-    sqrt(d) / (sqrt(2) * N).
-``r_score``
-    Z-score-like ratio: (plug-in - bias) / (null std), equal to
-    (2N*mi - d) / sqrt(2d).
-``standardized_information``
-    sqrt(2N*mi) - sqrt(d); the same bias correction applied inside square
-    roots. Measures weak dependence in multiples of the null standard
-    deviation yet stays monotone in mi for strong dependence, so candidates
-    with different numbers of states rank on a common scale. The Fisher
-    variant subtracts sqrt(d - 1/2), which tracks the chi-square-to-normal
-    transform more closely at small d.
-``normalized_mi``
-    Plug-in value over the mean of the marginal entropies; in [0, 1] and
-    popular in practice, but its regularization does not shrink with N.
-``p_value``
-    Chi-square survival probability of 2N*mi at d degrees of freedom. The
-    naive value is deliberately computed as 1 - CDF in double precision and
-    rounds to exactly 0.0 once the true tail drops below ~1e-16; the log
-    value is computed on the robust log path and stays finite and ordered.
+- ``mi_plugin``: plug-in MI of the empirical joint, in nats;
+- ``mi_bc``: mi - d/(2N), its leading-order independence bias removed;
+- ``indep_std``: sqrt(d) / (sqrt(2) N), the null standard deviation of mi;
+- ``r_score``: (2N mi - d) / sqrt(2d), bias-corrected mi in null standard deviations;
+- ``standardized_information``: sqrt(2N mi) - sqrt(d), the bias correction inside
+  square roots, so weak dependence is counted in null standard deviations while
+  strong dependence stays monotone in mi, and candidates with different numbers
+  of states rank on one scale; the Fisher variant subtracts sqrt(d - 1/2);
+- ``normalized_mi``: mi over the mean marginal entropy, in [0, 1], a
+  regularization that does not shrink with N;
+- ``p_value``: chi-square survival of 2N mi at d dof; the naive value is
+  1 - CDF in double precision and rounds to 0.0 below ~1e-16, while the log
+  path stays finite and ordered.
+
+The statistics also come for a stack of G tables of one shape, a (G, a, b)
+integer array: :func:`mi_plugin_stack` and :func:`mean_marginal_entropy_stack`
+(and :func:`depscore.tables.dof_stack`) return one value per table, equal bit
+for bit to the per-table function on that table alone, which is itself the
+stack kernel on a stack of one; :func:`score` takes their arrays.
 """
 
 from __future__ import annotations
@@ -53,12 +48,12 @@ __all__ = [
     "DependenceReport",
     "entropy",
     "mi_plugin",
-    "mi_bias_corrected",
-    "independence_std",
+    "mi_plugin_stack",
     "r_score",
     "standardized_information",
     "normalized_mi",
     "mean_marginal_entropy",
+    "mean_marginal_entropy_stack",
     "score",
     "conditional_entropy",
     "p_value",
@@ -104,6 +99,27 @@ class DependenceReport:
     log_p: float
 
 
+def _run_sums(terms: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of ``terms``, the i-th ``k[i]`` long, each
+    summed as numpy sums it alone: runs of one length become the rows of one
+    matrix. Zero-padding them to one length would change numpy's pairwise
+    summation order, and so the last bit of some sums."""
+    if k.size == 1 or k.size and (k == k[0]).all():
+        return terms.reshape(k.size, -1).sum(axis=1)
+    out, run = np.empty(k.size), np.repeat(k, k)
+    for length in np.unique(k):
+        rows = k == length
+        out[rows] = terms[run == length].reshape(np.count_nonzero(rows), length).sum(axis=1)
+    return out
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a (G, K) stack of probability vectors; 0*log(0) := 0."""
+    mask = p > 0.0
+    pos = p[mask]
+    return np.maximum(-_run_sums(pos * np.log(pos), mask.sum(axis=1)), 0.0)
+
+
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in nats; 0*log(0) := 0."""
     v = np.asarray(p, dtype=float)
@@ -113,8 +129,20 @@ def entropy(p) -> float:
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(v.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {v.sum()!r}")
-    pos = v[v > 0.0]
-    return float(max(-(pos * np.log(pos)).sum(), 0.0))
+    return float(_entropies(v[None])[0])
+
+
+def mi_plugin_stack(c) -> np.ndarray:
+    """Plug-in MI of each table of a (G, a, b) count stack: :func:`mi_plugin`, bit for bit."""
+    c = np.asarray(c, dtype=np.int64)
+    mask = c > 0
+    k = mask.sum(axis=(1, 2))
+    cf = c[mask].astype(float)
+    ra, cb = c.sum(axis=2), c.sum(axis=1)
+    n = ra.sum(axis=1).astype(float).repeat(k)
+    # marginal products go through float64: N_a * N_b overflows int64 for N ~ 1e10+
+    ratio = (cf * n) / (ra.astype(float)[:, :, None] * cb.astype(float)[:, None, :])[mask]
+    return np.maximum(_run_sums(cf / n * np.log(ratio), k), 0.0)
 
 
 def mi_plugin(t: CountTable) -> float:
@@ -123,26 +151,28 @@ def mi_plugin(t: CountTable) -> float:
     Always >= 0 and <= min(log|A|, log|B|); cells with zero count
     contribute nothing.
     """
-    c = t.counts
-    n = float(t.n)
-    ra = c.sum(axis=1, dtype=np.int64)
-    cb = c.sum(axis=0, dtype=np.int64)
-    mask = c > 0
-    cf = c[mask].astype(float)
-    # marginal products go through float64: N_a * N_b overflows int64 for N ~ 1e10+
-    denom = (ra.astype(float)[:, None] * cb.astype(float)[None, :])[mask]
-    ratio = (cf * n) / denom
-    return float(max((cf / n * np.log(ratio)).sum(), 0.0))
+    return float(mi_plugin_stack(t.counts[None])[0])
+
+
+def mean_marginal_entropy_stack(c) -> np.ndarray:
+    """(H(A) + H(B)) / 2 of each table of a (G, a, b) count stack, bit for bit as
+    :func:`mean_marginal_entropy`."""
+    c = np.asarray(c, dtype=np.int64)
+    p = c / c.sum(axis=(1, 2))[:, None, None]
+    return 0.5 * (_entropies(p.sum(axis=2)) + _entropies(p.sum(axis=1)))
 
 
 def mean_marginal_entropy(t: CountTable) -> float:
     """Mean of the two marginal entropies (H(A) + H(B)) / 2, in nats."""
-    p = empirical_joint(t)
-    return 0.5 * (entropy(p.probs.sum(axis=1)) + entropy(p.probs.sum(axis=0)))
+    return float(mean_marginal_entropy_stack(t.counts[None])[0])
 
 
-def score(kind: MeasureKind, mi: float, d: int, n: int,
-          h_bar: float | None = None) -> tuple[float, float]:
+def _all(x) -> bool:
+    """``x.all()`` for an array of truth values, ``x`` itself for one."""
+    return x.all() if isinstance(x, np.ndarray) else x
+
+
+def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
     """One measure from a table's statistics, as ``(score, key)``.
 
     ``mi`` is the plug-in MI, ``d`` the dof, ``n`` the sample size and
@@ -151,7 +181,10 @@ def score(kind: MeasureKind, mi: float, d: int, n: int,
     itself, except that the p-value is keyed on ``-log p``, which stays
     finite and ordered after the naive value rounds to 0. ``si``,
     ``si_fisher`` and ``p_value`` refuse ``d < 1``; ``ni`` refuses
-    ``h_bar <= 0``. No other function holds a :class:`MeasureKind` formula.
+    ``h_bar <= 0``. The statistics may be equal-length arrays, one entry per
+    table, except for the p-value, which takes one table at a time; each
+    entry is then scored exactly as it would be alone. No other function
+    holds a :class:`MeasureKind` formula.
     """
     if kind is MeasureKind.MI_PLUGIN:
         return mi, mi
@@ -159,17 +192,17 @@ def score(kind: MeasureKind, mi: float, d: int, n: int,
         v = mi - d / (2.0 * n)
         return v, v
     if kind is MeasureKind.NI:
-        if h_bar is None or not h_bar > 0.0:
+        if h_bar is None or not _all(h_bar > 0.0):
             raise ValueError("normalized MI undefined: both marginal entropies are zero")
-        v = min(mi / h_bar, 1.0)
+        v = np.minimum(mi / h_bar, 1.0)
         return v, v
-    if d < 1:
-        raise ValueError(f"{kind.value} requires dof > 0, table has dof {d}")
+    if not _all(d >= 1):
+        raise ValueError(f"{kind.value} requires dof > 0, table has dof {np.min(d)}")
     if kind is MeasureKind.P_VALUE:
         q, log_q = reg_gamma_upper(d / 2.0, n * mi)
         # 1 minus the double-precision CDF: rounds to exactly 0.0 once q < ~1e-16
         return 1.0 - (1.0 - q), -log_q
-    v = math.sqrt(2.0 * n * mi) - math.sqrt(d - 0.5 if kind is MeasureKind.SI_FISHER else d)
+    v = np.sqrt(2.0 * n * mi) - np.sqrt(d - (0.5 if kind is MeasureKind.SI_FISHER else 0.0))
     return v, v
 
 
@@ -180,22 +213,8 @@ def _require_dof(t: CountTable, mode: DofMode) -> int:
     return d
 
 
-def _indep_std(d: int, n: int) -> float:
-    return math.sqrt(d) / (math.sqrt(2.0) * n)
-
-
 def _r_score(mi: float, d: int, n: int) -> float:
     return (2.0 * n * mi - d) / math.sqrt(2.0 * d)
-
-
-def mi_bias_corrected(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
-    """Plug-in MI minus the leading-order independence bias d/(2N); may be negative."""
-    return score(MeasureKind.MI_BC, mi_plugin(t), dof(t, mode), t.n)[0]
-
-
-def independence_std(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
-    """Standard deviation of the plug-in MI under independence: sqrt(d)/(sqrt(2)*N)."""
-    return _indep_std(_require_dof(t, mode), t.n)
 
 
 def r_score(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
@@ -213,12 +232,12 @@ def standardized_information(
     The plain variant is bounded below by -sqrt(d); both require d >= 1.
     """
     kind = MeasureKind.SI_FISHER if fisher_corrected else MeasureKind.SI
-    return score(kind, mi_plugin(t), dof(t, mode), t.n)[0]
+    return float(score(kind, mi_plugin(t), dof(t, mode), t.n)[0])
 
 
 def normalized_mi(t: CountTable) -> float:
     """Plug-in MI over the mean marginal entropy; dimensionless in [0, 1]."""
-    return score(MeasureKind.NI, mi_plugin(t), 0, t.n, mean_marginal_entropy(t))[0]
+    return float(score(MeasureKind.NI, mi_plugin(t), 0, t.n, mean_marginal_entropy(t))[0])
 
 
 def conditional_entropy(t: CountTable, target: str = "a") -> float:
@@ -254,13 +273,13 @@ def report(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> DependenceReport
     n = t.n
     mi = mi_plugin(t)
     h_bar = mean_marginal_entropy(t)
-    scored = {kind: score(kind, mi, d, n, h_bar) for kind in MeasureKind}
+    scored = {kind: tuple(map(float, score(kind, mi, d, n, h_bar))) for kind in MeasureKind}
     return DependenceReport(
         n=n,
         dof=d,
         mi_plugin=mi,
         mi_bc=scored[MeasureKind.MI_BC][0],
-        indep_std=_indep_std(d, n),
+        indep_std=math.sqrt(d) / (math.sqrt(2.0) * n),
         r_score=_r_score(mi, d, n),
         si=scored[MeasureKind.SI][0],
         si_fisher=scored[MeasureKind.SI_FISHER][0],

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from . import measures
 from .measures import MeasureKind
 from .numerics import inv_std_normal_cdf
-from .tables import CountTable, DofMode, dof, merge_states
+from .tables import CountTable, DofMode, dof, dof_stack, merge_states
 
 __all__ = [
     "ScoredCandidate",
@@ -27,7 +28,11 @@ __all__ = [
     "si_threshold",
     "is_notable",
     "compare_discretizations",
-    "select_best_feature",
+    "selection_margin",
+    "refinement_margin",
+    "refinement_increment",
+    "stack_scores",
+    "first_best",
 ]
 
 TIE_POLICY = "key descending; ties: smaller dof first, then lexicographic id"
@@ -96,16 +101,7 @@ def is_notable(si: float, alpha: float) -> bool:
     return float(si) > si_threshold(alpha)
 
 
-def select_best_feature(tables, kind: MeasureKind,
-                        mode: DofMode = DofMode.EFFECTIVE) -> str:
-    """Id of the top-ranked candidate (plain argmax with the rank tie policy)."""
-    scored = score_candidates(tables, kind, mode)
-    if not scored:
-        raise ValueError("no candidates supplied")
-    return rank(scored).candidates[0].id
-
-
-def _margin(kind: MeasureKind, alpha: float) -> float:
+def selection_margin(kind: MeasureKind, alpha: float) -> float:
     """How far a richer candidate's key must clear the simpler one's."""
     if kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
         return si_threshold(alpha)
@@ -114,35 +110,40 @@ def _margin(kind: MeasureKind, alpha: float) -> float:
     return 0.0
 
 
-def _refinement_margin(kind: MeasureKind, alpha: float) -> float:
-    return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else _margin(kind, alpha)
+def refinement_margin(kind: MeasureKind, alpha: float) -> float:
+    """What a refinement increment's key must exceed; see :func:`compare_discretizations`."""
+    return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else selection_margin(kind, alpha)
 
 
-class _Refinement(NamedTuple):
-    """A table's statistics and what its finer states add beyond a merging."""
-
-    n: int
-    mi_fine: float
-    d_fine: int
-    mi_within: float
-    d_within: int
-    h_bar: float
+def refinement_increment(mi_fine, d_fine, mi_coarse, d_coarse) -> tuple:
+    """(MI, dof) that finer states add beyond a merging of them; arrays or scalars."""
+    return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse
 
 
-def _refinement(t_fine: CountTable, partitions, mode: DofMode) -> _Refinement:
-    part_a, part_b = partitions
-    t_coarse = merge_states(t_fine, part_a, part_b)
-    mi_fine = measures.mi_plugin(t_fine)
-    d_fine = dof(t_fine, mode)
-    return _Refinement(t_fine.n, mi_fine, d_fine, max(mi_fine - measures.mi_plugin(t_coarse), 0.0),
-                       d_fine - dof(t_coarse, mode), measures.mean_marginal_entropy(t_fine))
+_NO_SCORE = (1.0, -math.inf)  # (score, key) of a candidate with no estimable structure
 
 
-def _increment_score(ref: _Refinement, kind: MeasureKind) -> tuple[float, float] | None:
-    """(score, key) of the increment; None when it has no estimable structure."""
-    if (kind.needs_dof and ref.d_within < 1) or (kind is MeasureKind.NI and ref.h_bar <= 0.0):
-        return None
-    return measures.score(kind, ref.mi_within, ref.d_within, ref.n, ref.h_bar)
+def stack_scores(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, keys) arrays of candidates given as arrays of their statistics.
+
+    A candidate without estimable structure (dof below 1 under a dof-based
+    measure, ``h_bar <= 0`` under ``ni``) gets score 1 and key ``-inf``."""
+    ok = d >= 1 if kind.needs_dof else h_bar > 0.0 if kind is MeasureKind.NI \
+        else np.ones(mi.shape, dtype=bool)
+    scores, keys = np.full(mi.shape, _NO_SCORE[0]), np.full(mi.shape, _NO_SCORE[1])
+    if kind is MeasureKind.P_VALUE:
+        for i in np.flatnonzero(ok):
+            scores[i], keys[i] = measures.score(kind, float(mi[i]), int(d[i]), int(n[i]))
+    else:
+        scores[ok], keys[ok] = measures.score(kind, mi[ok], d[ok], n[ok],
+                                              None if h_bar is None else h_bar[ok])
+    return scores, keys
+
+
+def first_best(scores, keys) -> tuple[float, float]:
+    """(score, key) of the first candidate with the highest key."""
+    i = int(np.argmax(keys))
+    return float(scores[i]), float(keys[i])
 
 
 def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
@@ -169,6 +170,11 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
     Exact ties and degenerate cases (no extra estimable structure) go to
     coarse, the simpler hypothesis.
     """
-    scored = _increment_score(_refinement(t_fine, partitions, mode), kind)
-    return "fine" if scored is not None and scored[1] > _refinement_margin(kind, alpha) \
-        else "coarse"
+    fine = t_fine.counts[None]
+    coarse = merge_states(t_fine, *partitions).counts[None]
+    mi_within, d_within = refinement_increment(
+        measures.mi_plugin_stack(fine), dof_stack(fine, mode),
+        measures.mi_plugin_stack(coarse), dof_stack(coarse, mode))
+    _, keys = stack_scores(kind, mi_within, d_within, np.array([t_fine.n]),
+                           measures.mean_marginal_entropy_stack(fine))
+    return "fine" if keys[0] > refinement_margin(kind, alpha) else "coarse"

@@ -28,6 +28,7 @@ __all__ = [
     "uniform_prob",
     "marginals",
     "dof",
+    "dof_stack",
     "merge_states",
     "sample_table",
 ]
@@ -134,7 +135,7 @@ def make_prob_table(probs) -> ProbTable:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 2:
         raise ValueError(f"probability matrix must be at least 2x2, got shape {p.shape}")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+    if (p < 0.0).any() or not np.isfinite(p).all():
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
@@ -151,17 +152,22 @@ def marginals(p: ProbTable) -> tuple[np.ndarray, np.ndarray]:
     return p.probs.sum(axis=1), p.probs.sum(axis=0)
 
 
+def dof_stack(c, mode: DofMode = DofMode.EFFECTIVE) -> np.ndarray:
+    """Degrees of freedom of each table of a (G, a, b) count stack."""
+    c = np.asarray(c, dtype=np.int64)
+    g, a, b = c.shape
+    if mode is DofMode.NOMINAL:
+        return np.full(g, (a - 1) * (b - 1), dtype=np.int64)
+    if mode is DofMode.EFFECTIVE:
+        pos = c > 0
+        d = pos.sum(axis=(1, 2)) - pos.any(axis=2).sum(axis=1) - pos.any(axis=1).sum(axis=1) + 1
+        return np.maximum(d, 0)
+    raise ValueError(f"unknown dof mode {mode!r}")
+
+
 def dof(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> int:
     """Degrees of freedom of the independence test on this table."""
-    if mode is DofMode.NOMINAL:
-        return (t.card_a - 1) * (t.card_b - 1)
-    if mode is DofMode.EFFECTIVE:
-        c = t.counts
-        n_nz = int((c > 0).sum())
-        r_pos = int((c.sum(axis=1) > 0).sum())
-        c_pos = int((c.sum(axis=0) > 0).sum())
-        return max(0, n_nz - r_pos - c_pos + 1)
-    raise ValueError(f"unknown dof mode {mode!r}")
+    return int(dof_stack(t.counts[None], mode)[0])
 
 
 def _check_partition(part, card: int) -> list[list[int]]:

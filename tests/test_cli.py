@@ -462,3 +462,32 @@ def test_experiment_bad_list_is_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "comma-separated" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+@pytest.mark.parametrize("measures", ["", ",", "si,,ni", "si,nope"])
+def test_experiment_bad_measures_is_usage_error(tmp_path, capsys, name, measures):
+    out = tmp_path / "curve.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", name, "--measures", measures, "--replicates", "1",
+              "--n-values", "32", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--measures" in err and "comma-separated" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_measures_tolerate_spaces(tmp_path, capsys):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    args = ["experiment", "fig3", "--replicates", "1", "--n-values", "32"]
+    assert run_cli(capsys, *args, "--measures", "si, ni", "--out", str(a))[0] == 0
+    assert run_cli(capsys, *args, "--measures", "si,ni", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_experiment_fig2_repeated_n_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "experiment", "fig2", "--replicates", "1",
+                             "--n-values", "25,25", "--out", str(tmp_path / "c.tsv"))
+    assert code == 1 and not out
+    assert "distinct" in err
+    assert not list(tmp_path.iterdir())

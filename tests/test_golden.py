@@ -5,6 +5,9 @@ The hashes pin every byte of the curve files at fixed seeds and small
 replicate counts, and of the ranking and report files of a dataset the test
 writes, so a change to sampling order, substream use, ingest, tabulation,
 scoring or serialization shows up here even when each value stays plausible.
+The studies are pinned at their defaults, with every measure under effective
+dof, and on grids of small samples, where empty cells and candidates with
+zero effective dof occur.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 
 from depscore.cli import main
 
@@ -42,6 +46,57 @@ def test_fig3_golden_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert sha256(out) == FIG3_SHA256
+
+
+ALL_MEASURES = "mi_plugin,mi_bc,si,si_fisher,ni,p_value"
+SMALL_N = ["--n-values", "8,16,32"]
+STUDY_RUNS = {
+    "fig2/effective": ["fig2", "--seed", "11", "--replicates", "3", "--dof", "effective",
+                       "--measures", ALL_MEASURES],
+    "fig3/effective": ["fig3", "--seed", "11", "--replicates", "2", "--dof", "effective",
+                       "--measures", ALL_MEASURES],
+    **{f"fig2-small/{mode}": ["fig2", "--seed", "11", "--replicates", "4", "--dof", mode,
+                              "--measures", ALL_MEASURES, *SMALL_N, "--z-grid", "0,0.05,0.125"]
+       for mode in ("effective", "nominal")},
+    **{f"fig3-small/{mode}": ["fig3", "--seed", "11", "--replicates", "3", "--dof", mode,
+                              "--measures", ALL_MEASURES, *SMALL_N]
+       for mode in ("effective", "nominal")},
+}
+STUDY_SHA256 = {
+    "fig2/effective/c_n100.tsv":
+        "18562368a214f1483a574bb7393acb3d6e9e62cc3d3be281b056c8dce2d33980",
+    "fig2/effective/c_n25.tsv":
+        "8cfa1b8b2d2e5e10763d77cc0fd955556af276a98028d72f9cbd2f895309a406",
+    "fig2/effective/c_n500.tsv":
+        "da7452ef1176756748b18e3c2e65078f0bdcc8b6549842f9746ef29314c846d2",
+    "fig3/effective/c.tsv":
+        "ed1413fda1f00bf2d50ca29fd184aaf9e32368f0c7158abc7bb41bbd9275b193",
+    "fig2-small/effective/c_n16.tsv":
+        "19c30750285fd8364db3513730e1644bd9d2f06cdbf829a1efb5d49581052f24",
+    "fig2-small/effective/c_n32.tsv":
+        "deb670be54e497e1670df188a1af0cd544a84a54ea93d959deb1ff9aed4feda2",
+    "fig2-small/effective/c_n8.tsv":
+        "304244653a836ad9455b00664d0ee44096a9120f2071b9d46b5beef1f6b5ed23",
+    "fig3-small/effective/c.tsv":
+        "86282e013abc82c4876a5fab72289872e6c0aa9307d1808251c70a8fd8bc43cc",
+    "fig2-small/nominal/c_n16.tsv":
+        "b1dcc9c345b2807e44bff72f04ffb6cef921c9580c09411408b1aa270894a3c8",
+    "fig2-small/nominal/c_n32.tsv":
+        "75766b394fd5fdddaa9c06738d928fab81575a9700adf461d8b0a8715f0fb7e3",
+    "fig2-small/nominal/c_n8.tsv":
+        "fc827d1a2246d22d8d47d660f3be6f252f3b47301c523b74af2152a8c8d8a12d",
+    "fig3-small/nominal/c.tsv":
+        "b4a13c53e38663945990373310ac65ad5259bf9d7c8446a375d08ca08f212347",
+}
+
+
+@pytest.mark.parametrize("run", sorted(STUDY_RUNS))
+def test_study_golden_bytes(tmp_path, capsys, run):
+    code = main(["experiment", *STUDY_RUNS[run], "--out", str(tmp_path / "c.tsv")])
+    capsys.readouterr()
+    assert code == 0
+    got = {f"{run}/{p.name}": sha256(p) for p in tmp_path.glob("c*.tsv")}
+    assert got == {k: v for k, v in STUDY_SHA256.items() if k.startswith(run + "/")}
 
 
 def write_wide_dataset(path) -> None:

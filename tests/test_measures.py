@@ -18,9 +18,7 @@ from depscore import (
     dof,
     entropy,
     from_counts,
-    independence_std,
     merge_states,
-    mi_bias_corrected,
     mi_plugin,
     normalized_mi,
     p_value,
@@ -97,15 +95,15 @@ def test_mi_plugin_bounds():
 
 def test_mi_bias_corrected():
     t = from_counts([[2, 2], [2, 2]])
-    assert mi_bias_corrected(t) == pytest.approx(-1 / 16, abs=1e-15)
+    assert report(t).mi_bc == pytest.approx(-1 / 16, abs=1e-15)
     t2 = from_counts(T2112)
-    assert mi_bias_corrected(t2) == pytest.approx(MI_2112 - 1 / 12, abs=1e-14)
+    assert report(t2).mi_bc == pytest.approx(MI_2112 - 1 / 12, abs=1e-14)
 
 
 def test_mi_bias_correction_vanishes_with_n():
     # same empirical distribution, growing N: correction shrinks toward zero
     base = np.array(T2112)
-    gaps = [mi_plugin(from_counts(base * k)) - mi_bias_corrected(from_counts(base * k))
+    gaps = [mi_plugin(from_counts(base * k)) - report(from_counts(base * k)).mi_bc
             for k in (1, 10, 100, 1000)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] == pytest.approx(0.0, abs=1e-4)
@@ -117,14 +115,14 @@ def test_mi_bias_correction_vanishes_with_n():
 
 def test_independence_std_arithmetic():
     t9 = from_counts(np.full((4, 4), 7))   # d = 9, N = 112
-    assert independence_std(t9) == pytest.approx(3.0 / (math.sqrt(2.0) * 112), abs=1e-15)
+    assert report(t9).indep_std == pytest.approx(3.0 / (math.sqrt(2.0) * 112), abs=1e-15)
     t1 = from_counts([[250, 250], [250, 250]])
-    assert independence_std(t1) == pytest.approx(7.0710678e-4, abs=1e-9)
+    assert report(t1).indep_std == pytest.approx(7.0710678e-4, abs=1e-9)
 
 
 def test_independence_std_requires_dof():
     with pytest.raises(ValueError):
-        independence_std(from_counts([[5, 0], [0, 0]]))  # effective dof 0
+        report(from_counts([[5, 0], [0, 0]]))  # effective dof 0
 
 
 def test_r_score_value():
@@ -280,8 +278,8 @@ def test_report_matches_components():
     t = from_counts(T2112)
     rep = report(t)
     assert rep.mi_plugin == mi_plugin(t)
-    assert rep.mi_bc == mi_bias_corrected(t)
-    assert rep.indep_std == independence_std(t)
+    assert rep.mi_bc == mi_plugin(t) - dof(t) / (2.0 * t.n)
+    assert rep.indep_std == math.sqrt(dof(t)) / (math.sqrt(2.0) * t.n)
     assert rep.r_score == r_score(t)
     assert rep.si == standardized_information(t)
     assert rep.si_fisher == standardized_information(t, fisher_corrected=True)

@@ -18,16 +18,15 @@ from depscore import (
     from_counts,
     is_notable,
     merge_states,
-    mi_bias_corrected,
     mi_plugin,
     normalized_mi,
     p_value,
     r_score,
     rank,
     reg_gamma_upper,
+    report,
     sample_table,
     score_candidates,
-    select_best_feature,
     si_threshold,
     standardized_information,
     substream,
@@ -183,6 +182,10 @@ def test_fixed_dof_rankings_concordant():
 # feature selection
 # ---------------------------------------------------------------------------
 
+def select_best_feature(tables, kind, mode=DofMode.EFFECTIVE):
+    return rank(score_candidates(tables, kind, mode)).candidates[0].id
+
+
 def test_select_best_feature_single():
     t = from_counts([[3, 1], [1, 3]])
     assert select_best_feature([("solo", t)], MeasureKind.SI) == "solo"
@@ -194,11 +197,6 @@ def test_select_best_feature_prefers_predictor():
     got = select_best_feature([("noise", noise), ("pred", predictor)],
                               MeasureKind.SI, DofMode.NOMINAL)
     assert got == "pred"
-
-
-def test_select_best_feature_empty():
-    with pytest.raises(ValueError):
-        select_best_feature([], MeasureKind.SI)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def _public_score(t, kind, mode):
     if kind is MeasureKind.MI_PLUGIN:
         v = mi_plugin(t)
     elif kind is MeasureKind.MI_BC:
-        v = mi_bias_corrected(t, mode)
+        v = report(t, mode).mi_bc
     elif kind is MeasureKind.SI:
         v = standardized_information(t, mode)
     elif kind is MeasureKind.SI_FISHER:

@@ -1,0 +1,156 @@
+"""The stack kernels against the per-table functions, bit for bit.
+
+``mi_plugin_stack``, ``mean_marginal_entropy_stack``, ``dof_stack``, the
+array form of ``score`` and ``ranking.stack_scores`` score many tables of
+one shape at once. Every value must equal (``==``, not approximately) the
+per-table function on that table alone, and the per-table functions must
+equal the plain one-table formulas written out below.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from depscore import (
+    DofMode,
+    MeasureKind,
+    dof,
+    dof_stack,
+    from_counts,
+    mean_marginal_entropy,
+    mean_marginal_entropy_stack,
+    mi_plugin,
+    mi_plugin_stack,
+    score,
+)
+from depscore.ranking import stack_scores
+
+
+def reference_mi(c: np.ndarray) -> float:
+    """Plug-in MI of one table: masked terms summed as one 1-D array."""
+    n = float(c.sum())
+    ra, cb = c.sum(axis=1), c.sum(axis=0)
+    mask = c > 0
+    cf = c[mask].astype(float)
+    denom = (ra.astype(float)[:, None] * cb.astype(float)[None, :])[mask]
+    return float(max((cf / n * np.log((cf * n) / denom)).sum(), 0.0))
+
+
+def reference_entropy(v: np.ndarray) -> float:
+    pos = v[v > 0.0]
+    return float(max(-(pos * np.log(pos)).sum(), 0.0))
+
+
+def reference_h_bar(c: np.ndarray) -> float:
+    p = c / int(c.sum())
+    return 0.5 * (reference_entropy(p.sum(axis=1)) + reference_entropy(p.sum(axis=0)))
+
+
+def reference_dof(c: np.ndarray, mode: DofMode) -> int:
+    if mode is DofMode.NOMINAL:
+        return (c.shape[0] - 1) * (c.shape[1] - 1)
+    pos = c > 0
+    return max(0, int(pos.sum()) - int(pos.any(axis=1).sum()) - int(pos.any(axis=0).sum()) + 1)
+
+
+def seeded_stacks():
+    """60 stacks of 30 tables, shapes 2x2 to 12x12, N from 1 to 1e6.
+
+    Cells are multinomial on a Dirichlet joint in which some cells, rows and
+    columns have probability 0, so empty cells, rows and columns all occur.
+    """
+    rng = np.random.default_rng(20_261_018)
+    for _ in range(60):
+        a, b = (int(v) for v in rng.integers(2, 13, size=2))
+        tables = []
+        for _ in range(30):
+            p = rng.dirichlet(np.full(a * b, float(rng.choice([0.2, 1.0, 5.0])))).reshape(a, b)
+            p *= rng.random((a, b)) > 0.2
+            p[rng.random(a) < 0.15] = 0.0
+            p[:, rng.random(b) < 0.15] = 0.0
+            if not p.any():
+                p[0, 0] = 1.0
+            n = int(round(10 ** rng.uniform(0.0, 6.0)))
+            tables.append(rng.multinomial(n, (p / p.sum()).ravel()).reshape(a, b))
+        yield np.array(tables, dtype=np.int64)
+
+
+STACKS = list(seeded_stacks())
+
+
+def test_stacks_cover_the_edge_cases():
+    tables = [c for stack in STACKS for c in stack]
+    assert min(c.sum() for c in tables) == 1
+    assert max(c.sum() for c in tables) >= 900_000
+    assert any((c.sum(axis=1) == 0).any() for c in tables)
+    assert any((c.sum(axis=0) == 0).any() for c in tables)
+    assert any(reference_dof(c, DofMode.EFFECTIVE) == 0 for c in tables)
+    assert min(min(c.shape) for c in tables) == 2 and max(max(c.shape) for c in tables) == 12
+
+
+@pytest.mark.parametrize("i", range(len(STACKS)))
+def test_statistics_equal_per_table(i):
+    stack = STACKS[i]
+    mi, h_bar = mi_plugin_stack(stack), mean_marginal_entropy_stack(stack)
+    for g, c in enumerate(stack):
+        t = from_counts(c)
+        assert mi[g] == mi_plugin(t) == reference_mi(c)
+        assert h_bar[g] == mean_marginal_entropy(t) == reference_h_bar(c)
+    for mode in DofMode:
+        d = dof_stack(stack, mode)
+        assert d.tolist() == [dof(from_counts(c), mode) for c in stack] \
+            == [reference_dof(c, mode) for c in stack]
+
+
+@pytest.mark.parametrize("i", range(0, len(STACKS), 3))
+def test_scores_equal_per_table(i):
+    stack = STACKS[i]
+    n = stack.sum(axis=(1, 2))
+    mi, d, h_bar = mi_plugin_stack(stack), dof_stack(stack), mean_marginal_entropy_stack(stack)
+    for kind in MeasureKind:
+        ok = d >= 1 if kind.needs_dof else h_bar > 0.0 if kind is MeasureKind.NI \
+            else np.ones(len(stack), dtype=bool)
+        scores, keys = stack_scores(kind, mi, d, n, h_bar)
+        if kind is not MeasureKind.P_VALUE:
+            arr = score(kind, mi[ok], d[ok], n[ok], h_bar[ok])
+            assert arr[0].tolist() == scores[ok].tolist()
+            assert arr[1].tolist() == keys[ok].tolist()
+        for g, c in enumerate(stack):
+            t = from_counts(c)
+            if ok[g]:
+                one = score(kind, mi_plugin(t), dof(t), t.n, mean_marginal_entropy(t))
+                assert (scores[g], keys[g]) == one
+            else:
+                assert (scores[g], keys[g]) == (1.0, -np.inf)
+
+
+def test_zero_padding_would_change_the_sums():
+    # Summed as rows of one zero-padded matrix, the masked terms of the first
+    # table lose their last bit; the kernel sums each table's own terms.
+    sparse = np.array([[0, 0, 3, 0], [4, 4, 8, 2], [4, 1, 0, 0]])
+    stack = np.array([sparse, np.arange(1, 13).reshape(3, 4)])
+    mask = sparse > 0
+    n = float(sparse.sum())
+    outer = sparse.sum(axis=1)[:, None] * sparse.sum(axis=0)[None, :].astype(float)
+    terms = np.zeros(sparse.shape)
+    terms[mask] = sparse[mask] / n * np.log(sparse[mask] * n / outer[mask])
+    assert terms.sum() != reference_mi(sparse)
+    assert mi_plugin_stack(stack).tolist() == [reference_mi(c) for c in stack]
+
+    # the same holds for the entropy of a marginal with 8 or more states
+    wide = np.array([[6, 2, 1, 8, 5, 8, 3, 0, 1], [2, 6, 6, 6, 4, 1, 5, 0, 6]]).T
+    stack = np.array([wide, wide + 1])
+    p = wide.sum(axis=1) / wide.sum()
+    plogp = np.zeros(p.shape)
+    plogp[p > 0] = p[p > 0] * np.log(p[p > 0])
+    assert -plogp.sum() != reference_entropy(p)
+    assert mean_marginal_entropy_stack(stack).tolist() == [reference_h_bar(c) for c in stack]
+
+
+def test_stack_of_one_is_the_per_table_path():
+    c = np.array([[30, 12, 5], [10, 28, 9]])
+    t = from_counts(c)
+    assert mi_plugin_stack(c[None])[0] == mi_plugin(t)
+    assert mean_marginal_entropy_stack(c[None])[0] == mean_marginal_entropy(t)
+    assert dof_stack(c[None], DofMode.NOMINAL)[0] == dof(t, DofMode.NOMINAL) == 2
