@@ -15,7 +15,6 @@ from .ess import (
     EssResult,
     NoRootError,
     SmoothedParams,
-    approx_ess,
     constraint_lhs,
     constraint_rhs,
     log_ratio_field,
@@ -53,7 +52,6 @@ from .measures import (
 from .numerics import (
     RandomStream,
     bisect_root,
-    inv_std_normal_cdf,
     reg_gamma_upper,
     substream,
 )
@@ -76,7 +74,6 @@ from .tables import (
     from_counts,
     from_samples,
     make_prob_table,
-    marginals,
     merge_states,
     sample_table,
     uniform_prob,

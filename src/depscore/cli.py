@@ -17,9 +17,11 @@ reproducible. The reader's rules, the same for both formats:
 
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
-0 success; 2 usage errors, among them an empty, malformed or unknown entry in
-`--n-values`, `--z-grid` or `--measures`; 3 no-root (equivalent sample
-size); 1 other input or domain errors.
+0 success; 2 usage errors, found before any output: an empty, malformed or
+unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` or
+`--nprime-max` not finite and >= 0, or a point count outside 1..MAX_CURVE_POINTS;
+3 no-root (equivalent sample size); 1 other input or domain errors, among them
+a fig3 n above `experiments.FIG3_MAX_N` and a count total of 2**63 or more.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ REPORT_FIELDS = ("n", "dof", "mi_plugin", "mi_bc", "indep_std", "r_score",
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROOT = 3
+MAX_CURVE_POINTS = 10_000  # most grid points of an ESS curve; each holds a smoothed table
 
 
 def _emit(text: str, out_path) -> None:
@@ -163,10 +166,6 @@ def read_dataset(path) -> Dataset:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _dof_mode(args) -> DofMode:
-    return DofMode(args.dof)
-
-
 def _cmd_measure(args) -> int:
     rows = _rows(args.input)
     fmt = args.format
@@ -197,7 +196,7 @@ def _cmd_measure(args) -> int:
         for nm in (name_a, name_b):
             j = ds.column(nm)
             out_lines.append(f"# labels {nm}: " + " ".join(ds.labels[j]))
-    mode = _dof_mode(args)
+    mode = DofMode(args.dof)
     d = dof(table, mode)
     if d > 0:
         rep = report(table, mode)
@@ -223,7 +222,7 @@ def _cmd_rank(args) -> int:
     if not features:
         raise ValueError("dataset has no feature columns besides the class column")
     kind = MeasureKind(args.measure)
-    mode = _dof_mode(args)
+    mode = DofMode(args.dof)
     tables = [(nm, ds.pair_table(nm, cls)) for nm in features]
     ranking = rank(score_candidates(tables, kind, mode))
     lines = [f"# measure: {kind.value}", f"# class: {cls}", f"# dof_mode: {mode.value}"]
@@ -266,7 +265,7 @@ def _curve_text(table: CountTable, prior, nprime_max: float, points: int,
 def _cmd_ess(args) -> int:
     table = read_count_table(args.input)
     prior = _read_prior(args.prior)
-    mode = _dof_mode(args)
+    mode = DofMode(args.dof)
     result = solve_ess(table, prior, mode)
     print("\n".join(f"{f.name}\t{_fmt(getattr(result, f.name))}" for f in fields(result)))
     if args.curve is not None:
@@ -287,13 +286,25 @@ def _list_of(convert, what: str):
     return parse
 
 
+def _in_range(convert, what: str, low, high=sys.float_info.max):
+    """An argparse ``type`` for one ``convert`` value in [low, high], so never nan or inf."""
+    def parse(text: str):
+        try:
+            if low <= (value := convert(text)) <= high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
 def _with_suffix(path: Path, tag: str) -> Path:
     return path.with_name(path.stem + tag + path.suffix) if path.suffix \
         else path.with_name(path.name + tag)
 
 
 def _cmd_experiment(args) -> int:
-    mode = _dof_mode(args)
+    mode = DofMode(args.dof)
     study = dict(replicates=args.replicates, master_seed=args.seed, alpha=args.alpha, mode=mode)
     if args.n_values is not None:
         study["n_values"] = args.n_values
@@ -340,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"depscore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    nprime_max = _in_range(float, "a finite number >= 0", 0.0)
+    points = _in_range(int, f"an integer from 1 to {MAX_CURVE_POINTS}", 1, MAX_CURVE_POINTS)
+
     def common(p, seed=False, dof_default="effective"):
         p.add_argument("--dof", choices=["nominal", "effective"], default=dof_default,
                        help=f"degrees-of-freedom mode (default: {dof_default})")
@@ -368,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--prior", default="uniform",
                    help="'uniform' or a path to a weight table (default: uniform)")
-    p.add_argument("--curve", type=float, default=None, metavar="NPRIME_MAX",
+    p.add_argument("--curve", type=nprime_max, default=None, metavar="NPRIME_MAX",
                    help="also tabulate the constraint over [0, NPRIME_MAX]")
-    p.add_argument("--curve-points", type=int, default=101)
+    p.add_argument("--curve-points", type=points, default=101)
     p.add_argument("--out", default=None, help="write the curve here instead of stdout")
     common(p)
     p.set_defaults(func=_cmd_ess)
@@ -392,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--input", default=None, help="count table (ess-curve)")
     p.add_argument("--prior", default="uniform")
-    p.add_argument("--nprime-max", type=float, default=200.0)
-    p.add_argument("--nprime-points", type=int, default=101)
+    p.add_argument("--nprime-max", type=nprime_max, default=200.0)
+    p.add_argument("--nprime-points", type=points, default=101)
     # the study decision rules are calibrated on nominal dof
     common(p, seed=True, dof_default="nominal")
     p.set_defaults(func=_cmd_experiment)

@@ -44,7 +44,6 @@ __all__ = [
     "constraint_lhs",
     "constraint_rhs",
     "solve_ess",
-    "approx_ess",
 ]
 
 class NoRootError(ValueError):
@@ -89,8 +88,9 @@ def _check_prior(t: CountTable, q: ProbTable | None) -> ProbTable:
 def _smoothed_probs(t: CountTable, n_prime, q: ProbTable) -> np.ndarray:
     """(N_ab + n' q_ab) / (N + n'), one table per value when n' is an array."""
     g = np.asarray(n_prime, dtype=float)[..., None, None]
-    if not np.all(g >= 0.0):
-        raise ValueError(f"n_prime must be >= 0, got {n_prime}")
+    bad = g[~(g >= 0.0)]
+    if bad.size:
+        raise ValueError(f"n_prime must be >= 0, got {bad[0]}")
     return (t.counts + g * q.probs) / (t.n + g)
 
 
@@ -141,27 +141,6 @@ def constraint_rhs(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     return mi_plugin(t) - dof(t, mode) / float(t.n)
 
 
-def _prior_mean(field: np.ndarray, q: ProbTable) -> float:
-    """<L>_q: the prior expectation of the log-ratio field."""
-    return float((q.probs * field).sum())
-
-
-def approx_ess(t: CountTable, q: ProbTable | None = None,
-               mode: DofMode = DofMode.EFFECTIVE) -> float:
-    """First-order equivalent sample size d / (mi - <L>_q).
-
-    ``<L>_q`` is the prior expectation of the log-ratio field, which is
-    non-positive for a uniform prior, so the result is positive whenever the
-    table carries any information. Independent of N by construction.
-    """
-    q = _check_prior(t, q)
-    field, _ = log_ratio_field(t)
-    denom = mi_plugin(t) - _prior_mean(field, q)
-    if denom <= 0.0:
-        raise ValueError(f"approximation undefined: mi - <L>_q = {denom} is not positive")
-    return dof(t, mode) / denom
-
-
 def solve_ess(t: CountTable, q: ProbTable | None = None,
               mode: DofMode = DofMode.EFFECTIVE) -> EssResult:
     """Equivalent sample size: the exact root of the constraint, in closed form.
@@ -180,7 +159,7 @@ def solve_ess(t: CountTable, q: ProbTable | None = None,
             "dependence too weak for a positive equivalent sample size"
         )
     rhs = mi - d / float(t.n)
-    l_bar = _prior_mean(field, q)
+    l_bar = float((q.probs * field).sum())  # <L>_q, the prior mean of the field
     if rhs <= l_bar:
         raise NoRootError(
             f"no positive root: rhs {rhs:.6g} <= limiting value <L>_q {l_bar:.6g}"

@@ -75,6 +75,7 @@ __all__ = [
     "ess_constraint_curve",
     "format_curve",
     "DEFAULT_MEASURES",
+    "FIG3_MAX_N",
 ]
 
 DEFAULT_MEASURES = (MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.NI, MeasureKind.P_VALUE)
@@ -89,6 +90,10 @@ P_BINARY_GIVEN_CLASS = (0.6, 0.8, 0.3, 0.1)
 N_CLASSES = 4
 N_BINARY_FEATURES = 10
 N_FOUR_STATE_FEATURES = 10
+
+# Largest feature-selection sample size: a draw peaks near 138 bytes per sample
+# (tracemalloc at n = 1e5 and 1e6), about 0.6 GB at this n.
+FIG3_MAX_N = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +318,13 @@ def run_feature_selection_experiment(
     model as a (10, 2, 4) binary and a (10, 4, 4) four-state stack, the best
     binary and best four-state candidate are found on the measure's key, and
     the four-state winner is taken only when it beats the binary winner by
-    the measure's significance margin.
+    the measure's significance margin. No n may exceed :data:`FIG3_MAX_N`.
     """
     model = NaiveBayesModel(float(z))
     replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
+    if (n_max := max(n_values, default=1)) > FIG3_MAX_N:
+        raise ValueError(f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, "
+                         f"got {n_max}")
     # footnote convention: when the naive p-value dies for both winners, the
     # plotted choice is the arity the true model does NOT favor at this z
     four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")

@@ -27,8 +27,9 @@ once, and the per-table functions are thin calls to it (the
 
 The statistics also come for a stack of G tables of one shape, a (G, a, b)
 integer array: :func:`mi_plugin_stack` and :func:`mean_marginal_entropy_stack`
-(and :func:`depscore.tables.dof_stack`) return one value per table, equal bit
-for bit to the per-table function on that table alone, which is itself the
+(and :func:`depscore.tables.dof_stack`) reject a negative count or an all-zero
+table, as ``from_counts`` does, and return one value per table, equal bit for
+bit to the per-table function on that table alone, which is the unchecked
 stack kernel on a stack of one; :func:`score` takes their arrays.
 """
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import reg_gamma_upper
-from .tables import CountTable, DofMode, dof, empirical_joint
+from .tables import CountTable, DofMode, _counts, dof, empirical_joint
 
 __all__ = [
     "MeasureKind",
@@ -134,7 +135,10 @@ def entropy(p) -> float:
 
 def mi_plugin_stack(c) -> np.ndarray:
     """Plug-in MI of each table of a (G, a, b) count stack: :func:`mi_plugin`, bit for bit."""
-    c = np.asarray(c, dtype=np.int64)
+    return _mi_plugin(_counts(c))
+
+
+def _mi_plugin(c: np.ndarray) -> np.ndarray:
     mask = c > 0
     k = mask.sum(axis=(1, 2))
     cf = c[mask].astype(float)
@@ -151,20 +155,23 @@ def mi_plugin(t: CountTable) -> float:
     Always >= 0 and <= min(log|A|, log|B|); cells with zero count
     contribute nothing.
     """
-    return float(mi_plugin_stack(t.counts[None])[0])
+    return float(_mi_plugin(t.counts[None])[0])
 
 
 def mean_marginal_entropy_stack(c) -> np.ndarray:
     """(H(A) + H(B)) / 2 of each table of a (G, a, b) count stack, bit for bit as
     :func:`mean_marginal_entropy`."""
-    c = np.asarray(c, dtype=np.int64)
+    return _mean_marginal_entropy(_counts(c))
+
+
+def _mean_marginal_entropy(c: np.ndarray) -> np.ndarray:
     p = c / c.sum(axis=(1, 2))[:, None, None]
     return 0.5 * (_entropies(p.sum(axis=2)) + _entropies(p.sum(axis=1)))
 
 
 def mean_marginal_entropy(t: CountTable) -> float:
     """Mean of the two marginal entropies (H(A) + H(B)) / 2, in nats."""
-    return float(mean_marginal_entropy_stack(t.counts[None])[0])
+    return float(_mean_marginal_entropy(t.counts[None])[0])
 
 
 def _all(x) -> bool:

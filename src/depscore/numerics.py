@@ -3,8 +3,7 @@
 Everything here is deterministic double-precision numerics: the
 regularized upper incomplete gamma function (carried in log space so that
 chi-square survival probabilities stay meaningful far past the point where
-the linear value underflows), the inverse standard-normal CDF, and a
-bracketed bisection root finder.
+the linear value underflows) and a bracketed bisection root finder.
 
 All functions are pure. ``RandomStream`` is the only stateful object and is
 single-owner: never share one across concurrent consumers; derive independent
@@ -22,7 +21,6 @@ __all__ = [
     "RandomStream",
     "substream",
     "reg_gamma_upper",
-    "inv_std_normal_cdf",
     "bisect_root",
 ]
 
@@ -57,10 +55,6 @@ class RandomStream:
                 raise ValueError("spawn_index must be nonnegative")
             seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.spawn_index),))
         self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def uniform(self) -> float:
-        """One double in [0, 1); consumes exactly one draw."""
-        return float(self.generator.random())
 
 
 def substream(master_seed: int, index: int) -> RandomStream:
@@ -159,59 +153,6 @@ def reg_gamma_upper(s: float, x: float) -> tuple[float, float]:
     log_q = _upper_cf_log(s, x)
     q = math.exp(log_q) if log_q > -745.0 else 0.0
     return q, log_q
-
-
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-
-
-def _std_normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def inv_std_normal_cdf(p: float) -> float:
-    """Quantile of the standard normal: the z with Phi(z) = p.
-
-    Acklam's rational approximation refined by one Newton step on the
-    erfc-based CDF; absolute error is far below the 1e-9 contract.
-    """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"inv_std_normal_cdf requires p in (0, 1), got {p}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Newton step against the high-accuracy CDF.
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= (_std_normal_cdf(z) - p) / pdf
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from . import measures
 from .measures import MeasureKind
-from .numerics import inv_std_normal_cdf
 from .tables import CountTable, DofMode, dof, dof_stack, merge_states
 
 __all__ = [
@@ -89,11 +89,11 @@ def rank(candidates) -> Ranking:
 
 
 def si_threshold(alpha: float) -> float:
-    """Notability threshold c with Phi(sqrt(2) c) = 1 - alpha."""
+    """Notability threshold c with Phi(sqrt(2) c) = 1 - alpha, i.e. -Phi^-1(alpha) / sqrt(2)."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return inv_std_normal_cdf(1.0 - alpha) / math.sqrt(2.0)
+    return -NormalDist().inv_cdf(alpha) / math.sqrt(2.0)  # 1 - alpha may round to 1
 
 
 def is_notable(si: float, alpha: float) -> bool:

@@ -26,7 +26,6 @@ __all__ = [
     "empirical_joint",
     "make_prob_table",
     "uniform_prob",
-    "marginals",
     "dof",
     "dof_stack",
     "merge_states",
@@ -90,7 +89,7 @@ def from_counts(counts) -> CountTable:
     """Build a CountTable from a matrix of nonnegative integers.
 
     Rejects tables smaller than 2x2 (a one-state variable carries no
-    dependence), negative entries, and all-zero tables.
+    dependence), negative entries, all-zero tables, and totals beyond int64.
     """
     a = np.asarray(counts)
     if a.ndim != 2:
@@ -98,15 +97,24 @@ def from_counts(counts) -> CountTable:
     if a.shape[0] < 2 or a.shape[1] < 2:
         raise ValueError(f"both cardinalities must be >= 2, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
-        f = np.asarray(counts, dtype=float)
-        if not np.all(np.isfinite(f)) or np.any(f != np.round(f)):
+        a = np.asarray(counts, dtype=float)
+        if not np.all(np.isfinite(a)) or np.any(a != np.round(a)):
             raise ValueError("counts must be integers")
-        a = f.astype(np.int64)
-    if np.any(a < 0):
+    # summed exactly only near 2**63: float rounding cannot lift a sum below 2**62 to 2**63
+    if (m := np.abs(a)).sum(dtype=float) >= 2.0**62 and sum(map(int, m.ravel().tolist())) >= 2**63:
+        raise ValueError("counts too large for int64: their total is not below 2**63")
+    return CountTable(_freeze(_counts(a.astype(np.int64))))
+
+
+def _counts(c) -> np.ndarray:
+    """``c`` as int64 counts, once no count is negative and no table (over the
+    last two axes) is all zero: the rule of :func:`from_counts`."""
+    c = np.asarray(c, dtype=np.int64)
+    if (c < 0).any():
         raise ValueError("counts must be nonnegative")
-    if not a.any():
+    if not c.any(axis=(-2, -1)).all():
         raise ValueError("table is all zero")
-    return CountTable(_freeze(a.astype(np.int64)))
+    return c
 
 
 def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
@@ -147,14 +155,13 @@ def uniform_prob(card_a: int, card_b: int) -> ProbTable:
     return make_prob_table(np.full((card_a, card_b), 1.0 / (card_a * card_b)))
 
 
-def marginals(p: ProbTable) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column marginal vectors of a ProbTable."""
-    return p.probs.sum(axis=1), p.probs.sum(axis=0)
-
-
 def dof_stack(c, mode: DofMode = DofMode.EFFECTIVE) -> np.ndarray:
-    """Degrees of freedom of each table of a (G, a, b) count stack."""
-    c = np.asarray(c, dtype=np.int64)
+    """Degrees of freedom of each table of a (G, a, b) count stack; each table
+    must pass :func:`from_counts`' rule (no negative count, not all zero)."""
+    return _dof(_counts(c), mode)
+
+
+def _dof(c: np.ndarray, mode: DofMode) -> np.ndarray:
     g, a, b = c.shape
     if mode is DofMode.NOMINAL:
         return np.full(g, (a - 1) * (b - 1), dtype=np.int64)
@@ -167,7 +174,7 @@ def dof_stack(c, mode: DofMode = DofMode.EFFECTIVE) -> np.ndarray:
 
 def dof(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> int:
     """Degrees of freedom of the independence test on this table."""
-    return int(dof_stack(t.counts[None], mode)[0])
+    return int(_dof(t.counts[None], mode)[0])
 
 
 def _check_partition(part, card: int) -> list[list[int]]:

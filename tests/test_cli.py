@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from depscore import DofMode, EssResult, constraint_lhs, constraint_rhs, make_prob_table
-from depscore.cli import main, read_count_table, read_dataset
+from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
+from depscore.experiments import FIG3_MAX_N
 
 MI_2112 = 0.05663301226513249
 
@@ -232,6 +234,18 @@ def test_measure_dof_flag(tmp_path, capsys):
     assert float(parse_kv(out2)["si"]) == pytest.approx(2.723297411059034, abs=1e-9)
 
 
+@pytest.mark.parametrize("rows", ["9999999999999999999999 1\n1 1\n",
+                                  f"{2**62} {2**62}\n{2**62} 1\n"])
+def test_measure_counts_beyond_int64(tmp_path, capsys, rows):
+    f = tmp_path / "big.counts"
+    f.write_text(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "measure", "--input", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: counts too large for int64") and err.count("\n") == 1
+
+
 def test_measure_large_near_uniform_table(tmp_path, capsys):
     # 201x201 with G just below dof: the p-value needs Q(s, x) at s = 20,000
     # and x near s, where a fixed iteration cap once ended in a traceback
@@ -395,6 +409,37 @@ def test_ess_curve_rows_are_plain_numbers(tmp_path, capsys):
     _check_curve_rows(exp_curve, f, DofMode.EFFECTIVE)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ess", "--curve", "nan"],
+    ["ess", "--curve", "inf"],
+    ["ess", "--curve", "-1"],
+    ["ess", "--curve", "10", "--curve-points", "0"],
+    ["ess", "--curve", "10", "--curve-points", str(MAX_CURVE_POINTS + 1)],
+    ["ess", "--curve", "10", "--curve-points", "100000000000"],
+    ["experiment", "ess-curve", "--nprime-max", "nan"],
+    ["experiment", "ess-curve", "--nprime-points", "0"],
+    ["experiment", "ess-curve", "--nprime-points", "100000000000"],
+])
+def test_curve_flags_are_usage_errors(tmp_path, capsys, argv):
+    f = tmp_path / "t.counts"
+    f.write_text("200 100\n100 200\n")
+    out = tmp_path / "curve.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(f), "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and f"argument {argv[-2]}" in errors[0]
+    assert not out.exists()
+
+
+def test_curve_points_cap_is_inclusive():
+    args = build_parser().parse_args(["ess", "--input", "t", "--curve", "0",
+                                      "--curve-points", str(MAX_CURVE_POINTS)])
+    assert args.curve == 0.0 and args.curve_points == MAX_CURVE_POINTS
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -491,3 +536,22 @@ def test_experiment_fig2_repeated_n_is_an_error(tmp_path, capsys):
     assert code == 1 and not out
     assert "distinct" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", [FIG3_MAX_N + 1, 100_000_000_000])
+def test_experiment_fig3_sample_size_cap(tmp_path, capsys, n):
+    code, out, err = run_cli(capsys, "experiment", "fig3", "--replicates", "1",
+                             "--n-values", f"32,{n}", "--out", str(tmp_path / "c.tsv"))
+    assert code == 1 and out == ""
+    assert err == f"error: n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, " \
+                  f"got {n}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_fig3_alpha_below_machine_epsilon(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1.0; the notability threshold is taken from alpha itself
+    out = tmp_path / "c.tsv"
+    code, _, err = run_cli(capsys, "experiment", "fig3", "--alpha", "1e-17", "--replicates", "1",
+                           "--n-values", "32", "--measures", "si", "--out", str(out))
+    assert code == 0 and err == ""
+    assert "# alpha: 1e-17" in out.read_text()

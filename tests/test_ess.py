@@ -16,7 +16,6 @@ import pytest
 from depscore import (
     DofMode,
     NoRootError,
-    approx_ess,
     bisect_root,
     constraint_lhs,
     constraint_rhs,
@@ -91,6 +90,18 @@ def test_smoothed_params_prior_limit():
 def test_smoothed_params_shape_mismatch():
     with pytest.raises(ValueError):
         smoothed_params(from_counts([[2, 1], [1, 2]]), 1.0, uniform_prob(3, 3))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_negative_n_prime_error_names_one_value(bad):
+    # a bad point in a long grid is named alone, not with the whole grid
+    t = from_counts(T600)
+    grid = np.append(np.linspace(0.0, 200.0, 101), bad)
+    with pytest.raises(ValueError) as exc:
+        constraint_lhs(t, grid)
+    assert str(exc.value) == f"n_prime must be >= 0, got {bad}"
+    with pytest.raises(ValueError, match="n_prime must be >= 0"):
+        smoothed_params(t, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +191,14 @@ def test_constraint_rhs_approaches_mi_with_scale():
 # ---------------------------------------------------------------------------
 
 def test_approx_ess_value():
-    assert approx_ess(from_counts(T600)) == pytest.approx(APPROX_600, rel=1e-10)
+    assert solve_ess(from_counts(T600)).n_prime_approx == pytest.approx(APPROX_600, rel=1e-10)
 
 
 def test_approx_ess_is_sample_size_free():
-    # depends only on the empirical distribution, not on N
-    assert approx_ess(from_counts([[2, 1], [1, 2]])) == pytest.approx(
-        approx_ess(from_counts(T600)), rel=1e-12)
+    # depends only on the empirical distribution, not on N ([[2, 1], [1, 2]]
+    # itself has no exact root: its rhs lies below <L>_q)
+    assert solve_ess(from_counts([[20, 10], [10, 20]])).n_prime_approx == pytest.approx(
+        solve_ess(from_counts(T600)).n_prime_approx, rel=1e-12)
 
 
 def test_approx_ess_positive_for_uniform_prior():
@@ -194,19 +206,17 @@ def test_approx_ess_positive_for_uniform_prior():
     for _ in range(200):
         t = random_count_table(gen, max_n=1000, require_dof=True)
         try:
-            if mi_plugin(t) <= 0.0:
-                continue
-            assert approx_ess(t) > 0.0
+            assert solve_ess(t).n_prime_approx > 0.0
         except ValueError:
-            continue  # <L>_q above mi: denominator error, contractually raised
+            continue  # no root, or an empty row or column: contractually raised
 
 
 def test_approx_ess_denominator_error():
     # a prior concentrated on the over-represented cell makes <L>_q exceed mi
     t = from_counts(T600)
     q = make_prob_table([[0.97, 0.01], [0.01, 0.01]])
-    with pytest.raises(ValueError):
-        approx_ess(t, q)
+    with pytest.raises(NoRootError):
+        solve_ess(t, q)
 
 
 # ---------------------------------------------------------------------------

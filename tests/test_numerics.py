@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+try:
+    import mpmath
+except ImportError:  # the quantile oracle then bisects the double-precision erfc
+    mpmath = None
+
 from depscore import (
     RandomStream,
     bisect_root,
-    inv_std_normal_cdf,
     reg_gamma_upper,
+    si_threshold,
     substream,
 )
 
@@ -44,6 +50,18 @@ def erf_series(x: float) -> float:
 
 def normal_cdf_series(z: float) -> float:
     return 0.5 * (1.0 + erf_series(z / math.sqrt(2.0)))
+
+
+def erfc_root(target: float) -> float:
+    """The c with erfc(c) = target, for target in (0, 2), by bisection: on
+    mpmath's erfc at 40 digits where mpmath is installed, else on math.erfc."""
+    num, erfc = (mpmath.mpf, mpmath.erfc) if mpmath else (float, math.erfc)
+    with mpmath.workdps(40) if mpmath else contextlib.nullcontext():
+        lo, hi, t = num(-6), num(27), num(target)   # erfc(27) ~ 5e-319 still > 0
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if erfc(mid) > t else (lo, mid)
+        return float((lo + hi) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,36 +148,45 @@ def test_reg_gamma_upper_domain():
 
 
 # ---------------------------------------------------------------------------
-# inverse normal CDF
+# inverse normal CDF, as the library uses it: si_threshold(alpha) is
+# Phi^-1(1 - alpha) / sqrt(2), so Phi^-1(p) = sqrt(2) * si_threshold(1 - p)
 # ---------------------------------------------------------------------------
 
 def test_inv_std_normal_cdf_center():
-    assert inv_std_normal_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert si_threshold(0.5) == 0.0
 
 
 def test_inv_std_normal_cdf_oracle():
     # bisection against the erf-series CDF
     target = 0.975
     z = bisect_root(lambda v: normal_cdf_series(v) - target, 0.0, 3.0, xtol=1e-13)
-    assert inv_std_normal_cdf(0.975) == pytest.approx(z, abs=1e-9)
-    assert inv_std_normal_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
+    assert math.sqrt(2.0) * si_threshold(0.025) == pytest.approx(z, abs=1e-12)
+    assert math.sqrt(2.0) * si_threshold(0.025) == pytest.approx(1.959963984540054, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.1, 0.3, 0.42, 0.77, 0.95, 0.999])
 def test_inv_std_normal_cdf_symmetry(p):
-    assert inv_std_normal_cdf(p) == pytest.approx(-inv_std_normal_cdf(1.0 - p), abs=1e-10)
+    assert si_threshold(p) == pytest.approx(-si_threshold(1.0 - p), abs=1e-12)
 
 
 def test_inv_std_normal_cdf_roundtrip_extremes():
-    for p in (1e-12, 1e-300, 1.0 - 1e-12):
-        z = inv_std_normal_cdf(p)
-        assert 0.5 * math.erfc(-z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-6)
+    # Phi(sqrt(2) c) = 1 - alpha is 0.5 * erfc(c) = alpha; alpha = 1e-17 has
+    # 1 - alpha == 1.0 in double precision
+    for alpha in (1e-12, 1e-17, 1e-300, 1.0 - 1e-12):
+        assert 0.5 * math.erfc(si_threshold(alpha)) == pytest.approx(alpha, rel=1e-12)
+
+
+def test_si_threshold_matches_erfc_oracle():
+    # 0.5 * erfc(c) = alpha, from alpha = 1e-300 up to 0.999
+    alphas = [10.0 ** -k for k in range(300, 0, -7)] + [0.05, 0.3, 0.5, 0.7, 0.9, 0.999]
+    for alpha in alphas:
+        assert si_threshold(alpha) == pytest.approx(erfc_root(2.0 * alpha), abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
 def test_inv_std_normal_cdf_domain(bad):
     with pytest.raises(ValueError):
-        inv_std_normal_cdf(bad)
+        si_threshold(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +196,16 @@ def test_inv_std_normal_cdf_domain(bad):
 def test_stream_determinism():
     a = RandomStream(1234)
     b = RandomStream(1234)
-    assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
+    assert a.generator.random(20).tolist() == b.generator.random(20).tolist()
 
 
 def test_substream_determinism_and_separation():
     a = substream(99, 3)
     b = substream(99, 3)
     c = substream(99, 4)
-    seq_a = [a.uniform() for _ in range(10)]
-    assert seq_a == [b.uniform() for _ in range(10)]
-    assert seq_a != [c.uniform() for _ in range(10)]
+    seq_a = a.generator.random(10).tolist()
+    assert seq_a == b.generator.random(10).tolist()
+    assert seq_a != c.generator.random(10).tolist()
 
 
 # ---------------------------------------------------------------------------

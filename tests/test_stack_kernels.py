@@ -24,6 +24,7 @@ from depscore import (
     mi_plugin_stack,
     score,
 )
+from depscore import measures, tables
 from depscore.ranking import stack_scores
 
 
@@ -154,3 +155,27 @@ def test_stack_of_one_is_the_per_table_path():
     assert mi_plugin_stack(c[None])[0] == mi_plugin(t)
     assert mean_marginal_entropy_stack(c[None])[0] == mean_marginal_entropy(t)
     assert dof_stack(c[None], DofMode.NOMINAL)[0] == dof(t, DofMode.NOMINAL) == 2
+
+
+@pytest.mark.parametrize("kernel", [mi_plugin_stack, mean_marginal_entropy_stack, dof_stack,
+                                    lambda c: dof_stack(c, DofMode.NOMINAL)])
+@pytest.mark.parametrize("stack, message", [
+    ([[[0, 0], [0, 0]], [[1, 2], [3, 4]]], "all zero"),
+    ([[[1, 2], [3, 4]], [[0, 0], [0, 0]]], "all zero"),
+    ([[[1, -2], [3, 4]]], "nonnegative"),
+])
+def test_stack_kernels_apply_the_from_counts_rule(kernel, stack, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(stack)
+
+
+def test_per_table_functions_do_not_check_a_count_table_again(monkeypatch):
+    # from_counts checked the table once; the per-table path skips the stack check
+    t = from_counts([[3, 1, 0], [2, 5, 4]])
+    for module in (tables, measures):
+        monkeypatch.setattr(module, "_counts", None)
+    assert mi_plugin(t) == reference_mi(t.counts)
+    assert mean_marginal_entropy(t) == reference_h_bar(t.counts)
+    assert dof(t) == reference_dof(t.counts, DofMode.EFFECTIVE)
+    with pytest.raises(TypeError):
+        mi_plugin_stack(t.counts[None])

@@ -14,7 +14,6 @@ from depscore import (
     from_counts,
     from_samples,
     make_prob_table,
-    marginals,
     merge_states,
     sample_table,
     substream,
@@ -46,6 +45,23 @@ def test_from_counts_all_ones():
 def test_from_counts_rejects(bad):
     with pytest.raises(ValueError):
         from_counts(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    [[9999999999999999999999, 1], [1, 1]],          # one count beyond int64
+    np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
+    [[2.0**63, 1.0], [1.0, 1.0]],
+    [[2**62, 2**62], [2**62, 1]],                  # each count fits, the total does not
+    [[2**63 - 1, 1], [0, 0]],
+])
+def test_from_counts_rejects_counts_beyond_int64(bad):
+    with pytest.raises(ValueError, match="too large for int64"):
+        from_counts(bad)
+
+
+def test_from_counts_accepts_total_just_below_int64():
+    assert from_counts([[2**62, 2**61], [2**60, 2**63 - 1 - 2**62 - 2**61 - 2**60]]).n \
+        == 2**63 - 1
 
 
 def test_from_samples_counts():
@@ -103,12 +119,12 @@ def test_from_samples_then_empirical_is_exact():
 
 
 def test_marginals():
-    ra, cb = marginals(empirical_joint(from_counts([[2, 1], [1, 2]])))
-    assert ra.tolist() == [0.5, 0.5] and cb.tolist() == [0.5, 0.5]
-    ra4, cb4 = marginals(uniform_prob(4, 4))
-    assert np.allclose(ra4, 0.25) and np.allclose(cb4, 0.25)
-    ra1, cb1 = marginals(make_prob_table([[1.0, 0.0], [0.0, 0.0]]))
-    assert ra1.tolist() == [1.0, 0.0] and cb1.tolist() == [1.0, 0.0]
+    p = empirical_joint(from_counts([[2, 1], [1, 2]])).probs
+    assert p.sum(axis=1).tolist() == [0.5, 0.5] and p.sum(axis=0).tolist() == [0.5, 0.5]
+    p4 = uniform_prob(4, 4).probs
+    assert np.allclose(p4.sum(axis=1), 0.25) and np.allclose(p4.sum(axis=0), 0.25)
+    p1 = make_prob_table([[1.0, 0.0], [0.0, 0.0]]).probs
+    assert p1.sum(axis=1).tolist() == [1.0, 0.0] and p1.sum(axis=0).tolist() == [1.0, 0.0]
 
 
 def test_make_prob_table_rejects():
