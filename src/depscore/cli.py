@@ -19,7 +19,8 @@ Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
 0 success; 2 usage errors, found before any output: an empty, malformed or
 unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` or
-`--nprime-max` not finite and >= 0, or a point count outside 1..MAX_CURVE_POINTS;
+`--nprime-max` not finite and >= 0, a point count outside 1..MAX_CURVE_POINTS,
+or an `--alpha` that is not a number strictly between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
 a fig3 n above `experiments.FIG3_MAX_N` and a count total of 2**63 or more.
 """
@@ -27,6 +28,8 @@ a fig3 n above `experiments.FIG3_MAX_N` and a count total of 2**63 or more.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import fields
 from itertools import chain
@@ -352,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     nprime_max = _in_range(float, "a finite number >= 0", 0.0)
+    # the floats strictly between 0 and 1, so 1e-17 is one
+    alpha = _in_range(float, "a number strictly between 0 and 1",
+                      math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
     points = _in_range(int, f"an integer from 1 to {MAX_CURVE_POINTS}", 1, MAX_CURVE_POINTS)
 
     def common(p, seed=False, dof_default="effective"):
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-column", required=True)
     p.add_argument("--measure", default="si",
                    choices=[k.value for k in MeasureKind])
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=alpha, default=0.05)
     p.add_argument("--out", default=None, help="write the ranking here instead of stdout")
     common(p)
     p.set_defaults(func=_cmd_rank)
@@ -403,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                f"measures out of {names}"), default=None,
                    help="comma-separated measure names (default: %s)"
                    % ",".join(k.value for k in DEFAULT_MEASURES))
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=alpha, default=0.05)
     p.add_argument("--input", default=None, help="count table (ess-curve)")
     p.add_argument("--prior", default="uniform")
     p.add_argument("--nprime-max", type=nprime_max, default=200.0)
@@ -414,8 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call. Parsing keeps no
+    state in the parser, so one serves every later call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NoRootError as exc:

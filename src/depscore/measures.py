@@ -27,8 +27,9 @@ once, and the per-table functions are thin calls to it (the
 
 The statistics also come for a stack of G tables of one shape, a (G, a, b)
 integer array: :func:`mi_plugin_stack` and :func:`mean_marginal_entropy_stack`
-(and :func:`depscore.tables.dof_stack`) reject a negative count or an all-zero
-table, as ``from_counts`` does, and return one value per table, equal bit for
+(and :func:`depscore.tables.dof_stack`) reject what ``from_counts`` rejects (a
+count that is not an integer or is negative, a total of 0 or of 2**63 or
+more), and return one value per table, equal bit for
 bit to the per-table function on that table alone, which is the unchecked
 stack kernel on a stack of one; :func:`score` takes their arrays.
 """

@@ -89,32 +89,36 @@ def from_counts(counts) -> CountTable:
     """Build a CountTable from a matrix of nonnegative integers.
 
     Rejects tables smaller than 2x2 (a one-state variable carries no
-    dependence), negative entries, all-zero tables, and totals beyond int64.
+    dependence), non-integer or negative entries, all-zero tables, and totals
+    beyond int64.
     """
     a = np.asarray(counts)
     if a.ndim != 2:
         raise ValueError(f"counts must be a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 2 or a.shape[1] < 2:
         raise ValueError(f"both cardinalities must be >= 2, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.integer):
-        a = np.asarray(counts, dtype=float)
-        if not np.all(np.isfinite(a)) or np.any(a != np.round(a)):
-            raise ValueError("counts must be integers")
-    # summed exactly only near 2**63: float rounding cannot lift a sum below 2**62 to 2**63
-    if (m := np.abs(a)).sum(dtype=float) >= 2.0**62 and sum(map(int, m.ravel().tolist())) >= 2**63:
-        raise ValueError("counts too large for int64: their total is not below 2**63")
-    return CountTable(_freeze(_counts(a.astype(np.int64))))
+    return CountTable(_freeze(np.array(_counts(a))))
 
 
 def _counts(c) -> np.ndarray:
-    """``c`` as int64 counts, once no count is negative and no table (over the
-    last two axes) is all zero: the rule of :func:`from_counts`."""
-    c = np.asarray(c, dtype=np.int64)
-    if (c < 0).any():
+    """``c`` as int64 counts, once every table (over the last two axes) meets
+    the rule of :func:`from_counts`: integer counts, none negative, a total
+    above 0 and below 2**63. An int64 array is not converted."""
+    c = np.asarray(c)
+    if c.dtype.kind not in "iu":
+        f = np.asarray(c, dtype=float)
+        if not np.isfinite(f).all() or (f != np.round(f)).any():
+            raise ValueError("counts must be integers")
+    if c.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative")
-    if not c.any(axis=(-2, -1)).all():
+    total = c.sum(axis=(-2, -1), dtype=float)
+    if not total.all():
         raise ValueError("table is all zero")
-    return c
+    # summed exactly only near 2**63: float rounding cannot lift a sum below 2**62 to 2**63
+    if total.max(initial=0.0) >= 2.0**62 and \
+            any(sum(map(int, t.ravel().tolist())) >= 2**63 for t in c[total >= 2.0**62]):
+        raise ValueError("counts too large for int64: their total is not below 2**63")
+    return c.astype(np.int64, copy=False)
 
 
 def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
@@ -157,7 +161,8 @@ def uniform_prob(card_a: int, card_b: int) -> ProbTable:
 
 def dof_stack(c, mode: DofMode = DofMode.EFFECTIVE) -> np.ndarray:
     """Degrees of freedom of each table of a (G, a, b) count stack; each table
-    must pass :func:`from_counts`' rule (no negative count, not all zero)."""
+    must pass :func:`from_counts`' rule (integer counts, none negative, a
+    total above 0 and below 2**63)."""
     return _dof(_counts(c), mode)
 
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depscore import DofMode, EssResult, constraint_lhs, constraint_rhs, make_prob_table
+from depscore import DofMode, EssResult, cli, constraint_lhs, constraint_rhs, make_prob_table
 from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
 from depscore.experiments import FIG3_MAX_N
 
@@ -419,6 +423,15 @@ def test_ess_curve_rows_are_plain_numbers(tmp_path, capsys):
     ["experiment", "ess-curve", "--nprime-max", "nan"],
     ["experiment", "ess-curve", "--nprime-points", "0"],
     ["experiment", "ess-curve", "--nprime-points", "100000000000"],
+    # --alpha must lie strictly between 0 and 1, whichever measure reads it
+    ["experiment", "fig3", "--measures", "p_value", "--alpha", "0"],
+    ["experiment", "fig3", "--measures", "mi_bc", "--alpha", "1.5"],
+    ["experiment", "fig2", "--alpha", "nan"],
+    ["rank", "--class-column", "y", "--measure", "mi_bc", "--alpha", "nan"],
+    ["rank", "--class-column", "y", "--measure", "p_value", "--alpha", "2"],
+    ["rank", "--class-column", "y", "--alpha", "1"],
+    ["rank", "--class-column", "y", "--alpha", "-0.05"],
+    ["rank", "--class-column", "y", "--alpha", "inf"],
 ])
 def test_curve_flags_are_usage_errors(tmp_path, capsys, argv):
     f = tmp_path / "t.counts"
@@ -438,6 +451,56 @@ def test_curve_points_cap_is_inclusive():
     args = build_parser().parse_args(["ess", "--input", "t", "--curve", "0",
                                       "--curve-points", str(MAX_CURVE_POINTS)])
     assert args.curve == 0.0 and args.curve_points == MAX_CURVE_POINTS
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-17", "0.05", repr(1.0 - 2.0**-53)])
+def test_alpha_takes_every_float_strictly_between_0_and_1(alpha):
+    for argv in (["rank", "--input", "d", "--class-column", "y"],
+                 ["experiment", "fig3", "--out", "c"]):
+        assert build_parser().parse_args([*argv, "--alpha", alpha]).alpha == float(alpha)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # each in-process call prints what the same argv prints in a fresh process
+    counts = tmp_path / "t.counts"
+    counts.write_text("200 100\n100 200\n")
+    diagonal = tmp_path / "diag.counts"
+    diagonal.write_text("5 0\n0 7\n")
+    data = tmp_path / "d.csv"
+    data.write_text("y,a,b\n" + "".join(f"{y},{a},{b}\n" for y, a, b in zip(
+        "010101100011", "xxyyxyxyxxyy", "ppqqqppqpqqp")))
+    measure = ["measure", "--input", str(counts)]
+    calls = [
+        [*measure, "--dof", "sideways"],
+        ["--version"],
+        measure,
+        ["ess", "--input", str(counts)],
+        ["ess", "--input", str(diagonal)],
+        ["rank", "--input", str(data), "--class-column", "y"],
+        ["experiment", "fig2", "--replicates", "1", "--z-grid", "0.0,0.1",
+         "--n-values", "25", "--out", str(tmp_path / "fig2.tsv")],
+        measure,
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "depscore", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, captured.out, captured.err) \
+            == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 3, 0, 0, 0]
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

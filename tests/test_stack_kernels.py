@@ -163,10 +163,28 @@ def test_stack_of_one_is_the_per_table_path():
     ([[[0, 0], [0, 0]], [[1, 2], [3, 4]]], "all zero"),
     ([[[1, 2], [3, 4]], [[0, 0], [0, 0]]], "all zero"),
     ([[[1, -2], [3, 4]]], "nonnegative"),
+    ([[[1.5, 2], [3, 4]]], "counts must be integers"),
+    ([[[1, 2], [3, 4]], [[0.5, 2], [3, 4]]], "counts must be integers"),
+    ([[[1, 2], [3, np.nan]]], "counts must be integers"),
+    (np.array([[[2**63, 0], [0, 1]]], dtype=np.uint64), "total is not below 2\\*\\*63"),
+    ([[[1, 2], [3, 4]], [[2**62, 2**62], [2**62, 1]]], "total is not below 2\\*\\*63"),
 ])
 def test_stack_kernels_apply_the_from_counts_rule(kernel, stack, message):
     with pytest.raises(ValueError, match=message):
         kernel(stack)
+    if len(stack) == 1:
+        with pytest.raises(ValueError, match=message):
+            from_counts(stack[0])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, float, object])
+def test_stack_kernels_take_integer_counts_of_any_dtype(dtype):
+    stack = STACKS[0]
+    assert mi_plugin_stack(stack.astype(dtype)).tolist() == mi_plugin_stack(stack).tolist()
+    assert mean_marginal_entropy_stack(stack.astype(dtype)).tolist() \
+        == mean_marginal_entropy_stack(stack).tolist()
+    for mode in DofMode:
+        assert dof_stack(stack.astype(dtype), mode).tolist() == dof_stack(stack, mode).tolist()
 
 
 def test_per_table_functions_do_not_check_a_count_table_again(monkeypatch):
