@@ -14,7 +14,7 @@ import numpy as np
 
 from depscore import (
     constraint_lhs,
-    ess_constraint_curve,
+    constraint_rhs,
     from_counts,
     mi_plugin,
     sample_table,
@@ -35,7 +35,7 @@ print(f"first-order n'    {res.n_prime_approx:.4f}")
 
 # the two sides of the constraint around the root
 grid = np.linspace(0.0, 25.0, 6)
-lhs, rhs = ess_constraint_curve(t, n_prime_grid=grid)
+lhs, rhs = constraint_lhs(t, grid), constraint_rhs(t)
 print("\n  n'      lhs        rhs")
 for g, v in zip(grid, lhs):
     marker = " <- crossing below" if v < rhs and g > 0 else ""

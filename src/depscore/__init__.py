@@ -14,17 +14,14 @@ experiment harnesses for discretization and feature-selection studies.
 from .ess import (
     EssResult,
     NoRootError,
-    SmoothedParams,
     constraint_lhs,
     constraint_rhs,
     log_ratio_field,
-    smoothed_params,
     solve_ess,
 )
 from .experiments import (
     ExperimentCurve,
     NaiveBayesModel,
-    ess_constraint_curve,
     fig2_distribution,
     format_curve,
     nb_equal_mi_z,

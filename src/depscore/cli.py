@@ -22,7 +22,8 @@ unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` or
 `--nprime-max` not finite and >= 0, a point count outside 1..MAX_CURVE_POINTS,
 or an `--alpha` that is not a number strictly between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
-a fig3 n above `experiments.FIG3_MAX_N` and a count total of 2**63 or more.
+a fig3 n above `experiments.FIG3_MAX_N`, a study n or a count total of 2**63
+or more. Nothing is printed to stdout unless the exit code is 0.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ess import NoRootError, solve_ess
+from .ess import NoRootError, constraint_lhs, constraint_rhs, solve_ess
 from .experiments import (
     DEFAULT_MEASURES,
-    ess_constraint_curve,
     format_curve,
     run_discretization_experiment,
     run_feature_selection_experiment,
@@ -56,7 +56,7 @@ REPORT_FIELDS = ("n", "dof", "mi_plugin", "mi_bc", "indep_std", "r_score",
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROOT = 3
-MAX_CURVE_POINTS = 10_000  # most grid points of an ESS curve; each holds a smoothed table
+MAX_CURVE_POINTS = 10_000  # most grid points of an ESS curve; each is one output row
 
 
 def _emit(text: str, out_path) -> None:
@@ -259,7 +259,7 @@ def _curve_text(table: CountTable, prior, nprime_max: float, points: int,
                 mode: DofMode) -> str:
     """Both sides of the ESS constraint on an even grid over [0, nprime_max]."""
     grid = np.linspace(0.0, float(nprime_max), int(points))
-    lhs, rhs = ess_constraint_curve(table, prior, grid, mode)
+    lhs, rhs = constraint_lhs(table, grid, prior), constraint_rhs(table, mode)
     rows = ["n_prime\tlhs\trhs"]
     rows += [f"{g:g}\t{_fmt(v)}\t{_fmt(rhs)}" for g, v in zip(grid, lhs)]
     return "\n".join(rows) + "\n"
@@ -270,11 +270,14 @@ def _cmd_ess(args) -> int:
     prior = _read_prior(args.prior)
     mode = DofMode(args.dof)
     result = solve_ess(table, prior, mode)
-    print("\n".join(f"{f.name}\t{_fmt(getattr(result, f.name))}" for f in fields(result)))
+    text = "".join(f"{f.name}\t{_fmt(getattr(result, f.name))}\n" for f in fields(result))
     if args.curve is not None:
-        _emit(_curve_text(table, prior, args.curve, args.curve_points, mode), args.out)
-        if args.out:
-            print(f"# curve written to {args.out}")
+        curve = _curve_text(table, prior, args.curve, args.curve_points, mode)
+        if args.out:  # written before anything is printed, so a failed write prints nothing
+            Path(args.out).write_text(curve, encoding="utf-8")
+            curve = f"# curve written to {args.out}\n"
+        text += curve
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -325,10 +328,12 @@ def _cmd_experiment(args) -> int:
     if args.name == "fig2":
         curves = run_discretization_experiment(z_grid=args.z_grid, **study)
         out = Path(args.out)
+        written = ""  # printed once every file is written
         for n, curve in curves.items():
             path = _with_suffix(out, f"_n{n}") if len(curves) > 1 else out
             path.write_text(format_curve(curve), encoding="utf-8")
-            print(f"wrote {path}")
+            written += f"wrote {path}\n"
+        sys.stdout.write(written)
         return EXIT_OK
     if args.name == "ess-curve":
         if not args.input:

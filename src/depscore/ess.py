@@ -9,13 +9,15 @@ virtual counts n' spread over the cells according to a prior distribution q
 is fixed by a moment-matching constraint: the q-smoothed expectation of the
 empirical log-ratio field L must equal the bias-adjusted information
 ``rhs = mi - d/N``. Since sum N_ab L_ab = N * mi (empty cells carry no
-weight, so the safe-joint floor below does not enter), the left side is
+weight, so the safe-joint floor below does not enter), the left side
+sum p_tilde * L is
 
-    (N * mi + n' * <L>_q) / (N + n'),
+    (1 - w) * mi + w * <L>_q,   w = n' / (N + n'),
 
-a weighted average of mi and the prior expectation <L>_q. It is monotone in
-n' for any prior, and the constraint has the exact root
-``n' = d / (rhs - <L>_q)``, which is positive exactly when d >= 1 and
+a weighted average of mi and the prior expectation <L>_q, which
+``constraint_lhs`` evaluates in that form without building a smoothed
+table. It is monotone in n' for any prior, and the constraint has the exact
+root ``n' = d / (rhs - <L>_q)``, which is positive exactly when d >= 1 and
 rhs > <L>_q. Dropping the d/N term from the right side gives the
 first-order approximation ``n' = d / (mi - <L>_q)``, which needs only the
 empirical distribution and not N.
@@ -36,10 +38,8 @@ from .measures import mi_plugin
 from .tables import CountTable, DofMode, ProbTable, dof, uniform_prob
 
 __all__ = [
-    "SmoothedParams",
     "EssResult",
     "NoRootError",
-    "smoothed_params",
     "log_ratio_field",
     "constraint_lhs",
     "constraint_rhs",
@@ -48,15 +48,6 @@ __all__ = [
 
 class NoRootError(ValueError):
     """The constraint has no positive root (dependence too weak)."""
-
-
-@dataclass(frozen=True)
-class SmoothedParams:
-    """Smoothed joint estimate (N_ab + n' q_ab)/(N + n') with its inputs."""
-
-    probs: np.ndarray
-    n_prime: float
-    prior: ProbTable
 
 
 @dataclass(frozen=True)
@@ -85,24 +76,6 @@ def _check_prior(t: CountTable, q: ProbTable | None) -> ProbTable:
     return q
 
 
-def _smoothed_probs(t: CountTable, n_prime, q: ProbTable) -> np.ndarray:
-    """(N_ab + n' q_ab) / (N + n'), one table per value when n' is an array."""
-    g = np.asarray(n_prime, dtype=float)[..., None, None]
-    bad = g[~(g >= 0.0)]
-    if bad.size:
-        raise ValueError(f"n_prime must be >= 0, got {bad[0]}")
-    return (t.counts + g * q.probs) / (t.n + g)
-
-
-def smoothed_params(t: CountTable, n_prime: float, q: ProbTable | None = None) -> SmoothedParams:
-    """Smoothed cell probabilities; n' = 0 reproduces the empirical distribution."""
-    n_prime = float(n_prime)
-    q = _check_prior(t, q)
-    probs = _smoothed_probs(t, n_prime, q)
-    probs.setflags(write=False)
-    return SmoothedParams(probs=probs, n_prime=n_prime, prior=q)
-
-
 def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
     """Cellwise log[ joint / (marginal * marginal) ] of the empirical distribution.
 
@@ -126,13 +99,19 @@ def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
 
 
 def constraint_lhs(t: CountTable, n_prime, q: ProbTable | None = None):
-    """Left side of the matching constraint: sum of p_tilde * log-ratio field.
+    """Left side of the matching constraint, sum p_tilde * L, as (1 - w) mi + w <L>_q.
 
-    A float for one ``n_prime``; for an array, an array of its shape.
+    A float for one ``n_prime``; for an array, an array of its shape. Every
+    n' must be finite and >= 0; the first that is not is named in the error.
     """
     q = _check_prior(t, q)
+    g = np.asarray(n_prime, dtype=float)
+    bad = g[~((g >= 0.0) & (g < np.inf))]
+    if bad.size:
+        raise ValueError(f"n_prime must be a finite number >= 0, got {bad[0]}")
     field, _ = log_ratio_field(t)
-    lhs = (_smoothed_probs(t, n_prime, q) * field).sum(axis=(-2, -1))
+    w = g / (t.n + g)
+    lhs = (1.0 - w) * mi_plugin(t) + w * float((q.probs * field).sum())
     return float(lhs) if lhs.ndim == 0 else lhs
 
 

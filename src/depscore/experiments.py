@@ -72,7 +72,6 @@ __all__ = [
     "ExperimentCurve",
     "run_discretization_experiment",
     "run_feature_selection_experiment",
-    "ess_constraint_curve",
     "format_curve",
     "DEFAULT_MEASURES",
     "FIG3_MAX_N",
@@ -228,6 +227,8 @@ def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]
         raise ValueError("replicates must be >= 1")
     if min(n_values, default=1) < 1:
         raise ValueError("n must be >= 1")
+    if max(n_values, default=1) >= 2**63:
+        raise ValueError(f"n must be below 2**63, got {max(n_values)}")
     if len(set(kinds)) < len(kinds):
         raise ValueError("measures must be distinct")
     return replicates, kinds, n_values
@@ -349,20 +350,6 @@ def run_feature_selection_experiment(
     return _curve("n", (float(n) for n in n_values), kinds, favor2.tolist(), underflow,
                   replicates, master_seed, alpha, mode, experiment="feature_selection",
                   z=repr(float(z)))
-
-
-def ess_constraint_curve(t: CountTable, q: ProbTable | None = None,
-                         n_prime_grid=None,
-                         mode: DofMode = DofMode.EFFECTIVE) -> tuple[np.ndarray, float]:
-    """Constraint left side tabulated over an n' grid, plus the constant right side."""
-    from .ess import constraint_lhs, constraint_rhs
-
-    if n_prime_grid is None:
-        n_prime_grid = np.linspace(0.0, 200.0, 101)
-    grid = np.asarray(list(n_prime_grid), dtype=float)
-    if grid.size == 0 or np.any(grid < 0.0):
-        raise ValueError("n_prime_grid must be nonempty and nonnegative")
-    return constraint_lhs(t, grid, q), constraint_rhs(t, mode)
 
 
 # ---------------------------------------------------------------------------

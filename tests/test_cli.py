@@ -382,6 +382,18 @@ def test_ess_curve_output(tmp_path, capsys):
     assert len(lines) == 22
 
 
+@pytest.mark.parametrize("out", ["missing/curve.tsv", "."])
+def test_ess_curve_unwritable_out_prints_nothing(tmp_path, capsys, out):
+    # the curve is written before the result is printed, so a failed write
+    # leaves stdout empty
+    f = tmp_path / "t.counts"
+    f.write_text("200 100\n100 200\n")
+    code, stdout, err = run_cli(capsys, "ess", "--input", str(f), "--curve", "40",
+                                "--out", str(tmp_path / out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def _check_curve_rows(path, table_path, mode, prior=None):
     """Every field is a plain number and each lhs is the constraint's left side."""
     t = read_count_table(table_path)
@@ -609,6 +621,31 @@ def test_experiment_fig3_sample_size_cap(tmp_path, capsys, n):
     assert err == f"error: n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, " \
                   f"got {n}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_experiment_fig2_failed_second_write_prints_nothing(tmp_path, capsys):
+    (tmp_path / "c_n100.tsv").mkdir()
+    code, out, err = run_cli(capsys, "experiment", "fig2", "--replicates", "1",
+                             "--n-values", "25,100", "--out", str(tmp_path / "c.tsv"))
+    assert code == 1 and out == ""
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_experiment_sample_size_of_2_63_is_an_error(tmp_path, capsys, name):
+    code, out, err = run_cli(capsys, "experiment", name, "--replicates", "1",
+                             "--n-values", f"32,{2**63}", "--out", str(tmp_path / "c.tsv"))
+    assert code == 1 and out == ""
+    assert err == f"error: n must be below 2**63, got {2**63}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_fig2_largest_sample_size_runs(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    code, _, err = run_cli(capsys, "experiment", "fig2", "--replicates", "1", "--z-grid", "0.05",
+                           "--n-values", str(2**63 - 1), "--out", str(out))
+    assert code == 0 and err == ""
+    assert out.read_text().splitlines()[-1].split("\t")[0] == "0.05"
 
 
 def test_experiment_fig3_alpha_below_machine_epsilon(tmp_path, capsys):

@@ -1,14 +1,16 @@
-"""Equivalent-sample-size machinery: smoothed parameters, the constraint,
-its root, and the first-order approximation.
+"""Equivalent-sample-size machinery: the constraint, its root, and the
+first-order approximation.
 
-``solve_ess`` returns the closed-form root of the constraint. The oracle
-here is independent of that formula: it bisects the definitional left side
-``constraint_lhs`` (the sum of p_tilde * L) against the right side.
+``solve_ess`` and ``constraint_lhs`` both use the closed form of the
+constraint's left side. The oracle here is independent of that formula: it
+sums the definitional left side, smoothed table times log-ratio field
+(``definitional_lhs``), and bisects it against the right side.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from depscore import (
     make_prob_table,
     mi_plugin,
     sample_table,
-    smoothed_params,
     solve_ess,
     substream,
     uniform_prob,
@@ -41,12 +42,21 @@ EXACT_600 = 8.782880425682307          # 1 / (mi - 1/600 - <L>)
 RHS_600 = 0.05496634559846582          # mi - 1/600
 
 
+def definitional_lhs(t, n_prime, q=None):
+    """sum((c + n' q) / (N + n') * L): the constraint's left side from one smoothed
+    table per n', with the uniform prior when ``q`` is None."""
+    q = uniform_prob(t.card_a, t.card_b) if q is None else q
+    field, _ = log_ratio_field(t)
+    g = np.asarray(n_prime, dtype=float)[..., None, None]
+    return ((t.counts + g * q.probs) / (t.n + g) * field).sum(axis=(-2, -1))
+
+
 def bisection_root(t, q=None) -> float:
-    """Root of constraint_lhs(t, n', q) - rhs: bracket by doubling, then bisect."""
+    """Root of definitional_lhs(t, n', q) - rhs: bracket by doubling, then bisect."""
     rhs = constraint_rhs(t)
 
     def resid(n_prime):
-        return constraint_lhs(t, n_prime, q) - rhs
+        return float(definitional_lhs(t, n_prime, q)) - rhs
 
     hi = 1.0
     while resid(hi) > 0.0:
@@ -66,42 +76,26 @@ def permuted_diagonal(gen, k):
 
 
 # ---------------------------------------------------------------------------
-# smoothed parameters
+# arguments
 # ---------------------------------------------------------------------------
 
-def test_smoothed_params_zero_is_empirical():
-    t = from_counts(T600)
-    sp = smoothed_params(t, 0.0)
-    assert np.array_equal(sp.probs, t.counts / t.n)
-
-
-def test_smoothed_params_arithmetic():
-    sp = smoothed_params(from_counts([[2, 1], [1, 2]]), 2.0)
-    assert sp.probs[0, 0] == pytest.approx((2 + 2 * 0.25) / 8, abs=1e-15)
-    assert sp.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_smoothed_params_prior_limit():
+def test_prior_shape_mismatch():
     t = from_counts([[2, 1], [1, 2]])
-    sp = smoothed_params(t, 1e9)
-    assert np.max(np.abs(sp.probs - 0.25)) < 1e-6
+    for call in (lambda q: constraint_lhs(t, 1.0, q), lambda q: solve_ess(t, q)):
+        with pytest.raises(ValueError, match=r"prior shape \(3, 3\) does not match"):
+            call(uniform_prob(3, 3))
 
 
-def test_smoothed_params_shape_mismatch():
-    with pytest.raises(ValueError):
-        smoothed_params(from_counts([[2, 1], [1, 2]]), 1.0, uniform_prob(3, 3))
-
-
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_negative_n_prime_error_names_one_value(bad):
     # a bad point in a long grid is named alone, not with the whole grid
     t = from_counts(T600)
     grid = np.append(np.linspace(0.0, 200.0, 101), bad)
     with pytest.raises(ValueError) as exc:
         constraint_lhs(t, grid)
-    assert str(exc.value) == f"n_prime must be >= 0, got {bad}"
-    with pytest.raises(ValueError, match="n_prime must be >= 0"):
-        smoothed_params(t, bad)
+    assert str(exc.value) == f"n_prime must be a finite number >= 0, got {bad}"
+    with pytest.raises(ValueError, match="n_prime must be a finite number >= 0"):
+        constraint_lhs(t, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +132,67 @@ def test_log_ratio_field_rejects_empty_marginal():
 # ---------------------------------------------------------------------------
 
 def test_constraint_lhs_at_zero_equals_mi():
+    gen = np.random.default_rng(26)
+    for t in [from_counts(T600)] + [random_count_table(gen) for _ in range(50)]:
+        try:
+            lhs = constraint_lhs(t, np.zeros(3))
+        except ValueError:
+            continue  # empty marginal
+        assert constraint_lhs(t, 0.0) == mi_plugin(t)
+        assert np.all(lhs == mi_plugin(t))
+
+
+def test_constraint_lhs_finite_up_to_largest_float():
     t = from_counts(T600)
-    assert constraint_lhs(t, 0.0) == pytest.approx(mi_plugin(t), abs=1e-14)
+    top = np.finfo(float).max
+    assert math.isfinite(constraint_lhs(t, top))
+    assert constraint_lhs(t, top) == pytest.approx(LBAR_UNIFORM, abs=1e-15)
+
+
+def test_constraint_lhs_matches_definitional_sum():
+    # both sides round relative to the largest |L|, which bounds every term of
+    # the sum: over 14 seeds x 3,000 tables x 22 values of n' in [0, 1e8] the
+    # worst difference was 1.9e-14 * max|L| (nearly independent tables, where
+    # mi and <L>_q are ~1e-6, differ by ~1e-17)
+    gen = np.random.default_rng(31)
+    done = 0
+    while done < 3000:
+        t = random_count_table(gen, max_n=5000)
+        try:
+            field, _ = log_ratio_field(t)
+        except ValueError:
+            continue  # empty marginal
+        done += 1
+        grid = np.concatenate(([0.0], 10.0 ** gen.uniform(-3, 8, size=20), [1e8]))
+        scale = float(np.abs(field).max())
+        for q in (None, random_prior(gen, t)):
+            diff = np.abs(constraint_lhs(t, grid, q) - definitional_lhs(t, grid, q))
+            assert diff.max() <= 1e-13 * scale
+            assert constraint_lhs(t, float(grid[-1]), q) == constraint_lhs(t, grid, q)[-1]
+
+
+def test_constraint_lhs_memory_does_not_grow_with_cells():
+    # one smoothed table per point would take 10,000 x 900 x 16 bytes, 144 MB
+    t = from_counts(np.random.default_rng(27).poisson(20, (30, 30)) + 1)
+    grid = np.linspace(0.0, 500.0, 10_000)
+    tracemalloc.start()
+    try:
+        constraint_lhs(t, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_constraint_curve_crossing_matches_solver():
+    t = from_counts([[210, 90], [95, 205]])
+    grid = np.linspace(0.0, 60.0, 1201)
+    lhs, rhs = constraint_lhs(t, grid), constraint_rhs(t)
+    assert lhs[0] == mi_plugin(t)
+    crossings = np.where(np.diff(np.sign(lhs - rhs)) != 0)[0]
+    assert len(crossings) == 1
+    root = solve_ess(t).n_prime_exact
+    assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
 
 
 def test_constraint_lhs_decreasing_for_uniform_prior():
@@ -226,7 +279,7 @@ def test_approx_ess_denominator_error():
 def test_solve_ess_residual_certificate():
     t = from_counts(T600)
     res = solve_ess(t)
-    assert abs(constraint_lhs(t, res.n_prime_exact) - res.rhs) <= 1e-12
+    assert abs(definitional_lhs(t, res.n_prime_exact) - res.rhs) <= 1e-12
     assert res.n_prime_exact > 0
     assert res.used_safe_joint is False
     assert res.n_prime_approx == pytest.approx(APPROX_600, rel=1e-10)
@@ -239,7 +292,7 @@ def test_solve_ess_matches_closed_form_and_grid_scan():
     assert res.n_prime_exact == pytest.approx(bisection_root(t), rel=1e-6)
     # grid-scan oracle: the sign change of lhs - rhs brackets the root
     grid = np.linspace(0.0, 40.0, 4001)
-    resid = np.array([constraint_lhs(t, float(v)) - res.rhs for v in grid])
+    resid = definitional_lhs(t, grid) - res.rhs
     sign_change = np.where(np.diff(np.sign(resid)) != 0)[0]
     assert len(sign_change) == 1
     lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
@@ -296,7 +349,7 @@ def test_solve_ess_residual_and_no_root_condition():
                 assert not has_root
                 continue
             assert has_root
-            assert abs(constraint_lhs(t, res.n_prime_exact, q) - res.rhs) <= 1e-12
+            assert abs(definitional_lhs(t, res.n_prime_exact, q) - res.rhs) <= 1e-12
             roots[kind] += 1
     assert min(roots.values()) >= 100
 

@@ -10,17 +10,14 @@ import pytest
 from depscore import (
     MeasureKind,
     NaiveBayesModel,
-    ess_constraint_curve,
     fig2_distribution,
     format_curve,
     from_counts,
-    mi_plugin,
     nb_equal_mi_z,
     nb_true_mi,
     run_discretization_experiment,
     run_feature_selection_experiment,
     sample_nb_dataset,
-    solve_ess,
     substream,
 )
 from depscore.experiments import FIG2_PARTITIONS
@@ -201,20 +198,8 @@ def test_feature_selection_z_max_prefers_four_state():
 
 
 # ---------------------------------------------------------------------------
-# ess curve and serialization
+# curve serialization
 # ---------------------------------------------------------------------------
-
-def test_ess_constraint_curve_crossing_matches_solver():
-    c = np.array([[210, 90], [95, 205]])
-    t = from_counts(c)
-    grid = np.linspace(0.0, 60.0, 1201)
-    lhs, rhs = ess_constraint_curve(t, n_prime_grid=grid)
-    assert lhs[0] == pytest.approx(mi_plugin(t), abs=1e-14)
-    crossings = np.where(np.diff(np.sign(lhs - rhs)) != 0)[0]
-    assert len(crossings) == 1
-    root = solve_ess(t).n_prime_exact
-    assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
-
 
 def test_format_curve_layout():
     curve = run_feature_selection_experiment(
