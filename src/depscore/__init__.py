@@ -47,7 +47,6 @@ from .measures import (
     standardized_information,
 )
 from .numerics import (
-    RandomStream,
     bisect_root,
     reg_gamma_upper,
     substream,

@@ -15,6 +15,13 @@ reproducible. The reader's rules, the same for both formats:
   present, else on runs of whitespace, and empty fields are skipped;
 - every row must have as many fields as the first.
 
+A measure that is undefined for a pair, by the one rule of
+`measures.score` (dof below 1 for a dof-based measure, both marginal
+entropies 0 for `ni`), prints as `nan`, with one `#` line naming the rule
+above the values; `rank` puts such candidates last. A column with a single
+label is a 2-state variable whose second state is empty, so it falls under
+the same rule.
+
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
 0 success; 2 usage errors, found before any output: an empty, malformed or
@@ -46,12 +53,13 @@ from .experiments import (
     run_discretization_experiment,
     run_feature_selection_experiment,
 )
-from .measures import MeasureKind, mean_marginal_entropy, mi_plugin, report, score
+from .measures import MeasureKind, report
 from .ranking import is_notable, rank, score_candidates
-from .tables import CountTable, DofMode, dof, from_counts, from_samples, make_prob_table
+from .tables import CountTable, DofMode, from_counts, from_samples, make_prob_table
 
-REPORT_FIELDS = ("n", "dof", "mi_plugin", "mi_bc", "indep_std", "r_score",
-                 "si", "si_fisher", "ni", "p_naive", "log_p")
+# printed once above a report or ranking that holds an undefined (nan) value
+_UNDEFINED_NOTE = ("# nan: undefined measure (dof-based measures need dof >= 1, ni a marginal "
+                  "entropy above 0); undefined candidates rank last")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,15 +141,13 @@ class Dataset:
             raise ValueError(f"unknown column {name!r}; have {', '.join(self.names)}") from None
 
     def pair_table(self, name_a: str, name_b: str) -> CountTable:
+        """The pair's count table; a column with one label is a 2-state variable
+        whose second state is empty."""
         ia, ib = self.column(name_a), self.column(name_b)
-        for name, j in ((name_a, ia), (name_b, ib)):
-            if len(self.labels[j]) < 2:
-                raise ValueError(f"column {name!r} has the single label {self.labels[j][0]!r}; "
-                                 "a pair needs at least 2 labels per column")
         return from_samples(
             np.column_stack((self.columns[ia], self.columns[ib])),
-            card_a=len(self.labels[ia]),
-            card_b=len(self.labels[ib]),
+            card_a=max(len(self.labels[ia]), 2),
+            card_b=max(len(self.labels[ib]), 2),
         )
 
 
@@ -199,20 +205,11 @@ def _cmd_measure(args) -> int:
         for nm in (name_a, name_b):
             j = ds.column(nm)
             out_lines.append(f"# labels {nm}: " + " ".join(ds.labels[j]))
-    mode = DofMode(args.dof)
-    d = dof(table, mode)
-    if d > 0:
-        rep = report(table, mode)
-        for fld in REPORT_FIELDS:
-            out_lines.append(f"{fld}\t{_fmt(getattr(rep, fld))}")
-    else:
-        # dof-based measures are undefined; emit what remains
-        mi, h_bar = mi_plugin(table), mean_marginal_entropy(table)
-        out_lines += [f"# partial report: {mode.value} dof is 0", f"n\t{_fmt(table.n)}",
-                      f"dof\t{_fmt(d)}", f"mi_plugin\t{_fmt(mi)}",
-                      f"mi_bc\t{_fmt(score(MeasureKind.MI_BC, mi, d, table.n)[0])}"]
-        if h_bar > 0.0:
-            out_lines.append(f"ni\t{_fmt(score(MeasureKind.NI, mi, d, table.n, h_bar)[0])}")
+    rep = report(table, DofMode(args.dof))
+    values = [(f.name, getattr(rep, f.name)) for f in fields(rep)]
+    if any(math.isnan(v) for _, v in values):
+        out_lines.append(_UNDEFINED_NOTE)
+    out_lines += [f"{name}\t{_fmt(v)}" for name, v in values]
     _emit("\n".join(out_lines) + "\n", args.out)
     return EXIT_OK
 
@@ -229,6 +226,8 @@ def _cmd_rank(args) -> int:
     tables = [(nm, ds.pair_table(nm, cls)) for nm in features]
     ranking = rank(score_candidates(tables, kind, mode))
     lines = [f"# measure: {kind.value}", f"# class: {cls}", f"# dof_mode: {mode.value}"]
+    if any(math.isnan(c.score) for c in ranking.candidates):
+        lines.append(_UNDEFINED_NOTE)
     show_notable = kind in (MeasureKind.SI, MeasureKind.SI_FISHER)
     header = ["rank", "id", "score"]
     if kind is MeasureKind.P_VALUE:
@@ -239,7 +238,7 @@ def _cmd_rank(args) -> int:
     for pos, cand in enumerate(ranking.candidates, start=1):
         row = [str(pos), cand.id, _fmt(cand.score)]
         if kind is MeasureKind.P_VALUE:
-            row.append(_fmt(-cand.key))
+            row.append(_fmt(math.nan if math.isnan(cand.score) else -cand.key))
         if show_notable:
             row.append(_fmt(is_notable(cand.score, args.alpha)))
         lines.append("\t".join(row))

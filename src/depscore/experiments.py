@@ -36,10 +36,12 @@ first best binary and best 4-state candidate are compared on the measure's
 key, and the 4-state winner is accepted only if it clears the simpler winner
 by the measure's own significance margin (the notability threshold for
 standardized information, ``alpha`` on the log scale for the p-value,
-nothing for the additive and normalized measures); a candidate with zero dof
-under a dof-based measure ranks last, with p = 1. Both protocols run on
-nominal degrees of freedom by default: the null calibration of the
-incremental statistic is what the decision thresholds assume.
+nothing for the additive and normalized measures). A candidate the measure
+is undefined on (the rule of ``measures.score``: dof below 1 under a
+dof-based measure, both marginal entropies 0 under ``ni``) scores nan with
+key -inf, so it ranks last and never favors the finer discretization. Both
+protocols run on nominal degrees of freedom by default: the null calibration
+of the incremental statistic is what the decision thresholds assume.
 
 The naive p-value is additionally evaluated for both hypotheses of each
 decision. When it rounds to exactly zero for both, the event is counted in
@@ -57,9 +59,8 @@ import numpy as np
 
 from . import measures as meas
 from .measures import MeasureKind
-from .numerics import RandomStream, bisect_root, substream
-from .ranking import (first_best, refinement_increment, refinement_margin, selection_margin,
-                      stack_scores)
+from .numerics import bisect_root, substream
+from .ranking import first_best, refinement_increment, refinement_margin, selection_margin
 from .tables import CountTable, DofMode, ProbTable, dof_stack, from_counts, make_prob_table
 
 __all__ = [
@@ -165,13 +166,12 @@ _FOUR_STATE_CODE = (np.arange(N_CLASSES)[:, None] - np.arange(N_CLASSES) - 1) % 
 
 
 def _sample_nb_stacks(model: NaiveBayesModel, n: int,
-                      stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+                      gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n joint draws of (class, all 20 features), as a (10, 2, 4) binary and a
     (10, 4, 4) four-state stack of feature-by-class count tables."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = stream.generator
     y = gen.integers(0, N_CLASSES, size=n)
     x_bin = gen.random((n, N_BINARY_FEATURES)) < np.asarray(P_BINARY_GIVEN_CLASS)[y][:, None]
     same = gen.random((n, N_FOUR_STATE_FEATURES)) < model.p_same
@@ -186,15 +186,15 @@ def _sample_nb_stacks(model: NaiveBayesModel, n: int,
 
 
 def sample_nb_dataset(model: NaiveBayesModel, n: int,
-                      stream: RandomStream) -> list[tuple[str, CountTable]]:
+                      gen: np.random.Generator) -> list[tuple[str, CountTable]]:
     """n joint draws of (class, all 20 features), as per-feature tables vs class.
 
     Feature ids are ``x01``..``x10`` (binary) and ``x11``..``x20``
     (four-state); each table has the feature on rows and the class on
     columns. Draw order is fixed (class block, binary block, four-state
-    block) so a given stream always yields the same dataset.
+    block) so a given generator state always yields the same dataset.
     """
-    binary, four = _sample_nb_stacks(model, n, stream)
+    binary, four = _sample_nb_stacks(model, n, gen)
     return [(f"x{j + 1:02d}", from_counts(c)) for j, c in enumerate((*binary, *four))]
 
 
@@ -280,7 +280,7 @@ def run_discretization_experiment(
     margins = [refinement_margin(k, alpha) for k in kinds]
 
     for r in range(replicates):
-        gen = substream(master_seed, r).generator
+        gen = substream(master_seed, r)
         fine = np.array([gen.multinomial(n, p) for p, n in cells]).reshape(-1, 4, 4)
         coarse = fine.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
         mi_fine, d_fine = meas.mi_plugin_stack(fine), dof_stack(fine, mode)
@@ -288,7 +288,7 @@ def run_discretization_experiment(
             mi_fine, d_fine, meas.mi_plugin_stack(coarse), dof_stack(coarse, mode))
         h_bar = meas.mean_marginal_entropy_stack(fine) if MeasureKind.NI in kinds else None
         for j, k in enumerate(kinds):
-            scores, keys = stack_scores(k, mi_within, d_within, ns, h_bar)
+            scores, keys = meas.score(k, mi_within, d_within, ns, h_bar)
             favors_fine = keys > margins[j]
             if k is MeasureKind.P_VALUE:
                 for i in np.flatnonzero(scores == 0.0):
@@ -334,13 +334,13 @@ def run_feature_selection_experiment(
     margins = [selection_margin(k, alpha) for k in kinds]
 
     for r in range(replicates):
-        stream = substream(master_seed, r)
+        gen = substream(master_seed, r)
         for i, n in enumerate(n_values):
             stats2, stats4 = ((meas.mi_plugin_stack(c), dof_stack(c, mode), np.full(len(c), n),
                                meas.mean_marginal_entropy_stack(c) if MeasureKind.NI in kinds
-                               else None) for c in _sample_nb_stacks(model, n, stream))
+                               else None) for c in _sample_nb_stacks(model, n, gen))
             for j, k in enumerate(kinds):
-                best2, best4 = (first_best(*stack_scores(k, *st)) for st in (stats2, stats4))
+                best2, best4 = (first_best(*meas.score(k, *st)) for st in (stats2, stats4))
                 favors_two = not (best4[1] > best2[1] + margins[j])
                 if k is MeasureKind.P_VALUE and best2[0] == 0.0 and best4[0] == 0.0:
                     underflow[i] += 1

@@ -25,6 +25,12 @@ once, and the per-table functions are thin calls to it (the
   1 - CDF in double precision and rounds to 0.0 below ~1e-16, while the log
   path stays finite and ordered.
 
+One rule, in :func:`score`, says when a measure is undefined: every
+dof-based quantity (all of the above but ``mi_plugin`` and ``normalized_mi``)
+when d < 1, since the independence test then has no residual dof, and
+``normalized_mi`` when both marginal entropies are 0. An undefined value is
+nan, never an error, and an undefined candidate ranks last.
+
 The statistics also come for a stack of G tables of one shape, a (G, a, b)
 integer array: :func:`mi_plugin_stack` and :func:`mean_marginal_entropy_stack`
 (and :func:`depscore.tables.dof_stack`) reject what ``from_counts`` rejects (a
@@ -72,11 +78,6 @@ class MeasureKind(enum.Enum):
     SI_FISHER = "si_fisher"
     NI = "ni"
     P_VALUE = "p_value"
-
-    @property
-    def needs_dof(self) -> bool:
-        return self in (MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.SI_FISHER,
-                        MeasureKind.P_VALUE)
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,8 @@ def mean_marginal_entropy(t: CountTable) -> float:
     return float(_mean_marginal_entropy(t.counts[None])[0])
 
 
-def _all(x) -> bool:
-    """``x.all()`` for an array of truth values, ``x`` itself for one."""
-    return x.all() if isinstance(x, np.ndarray) else x
+_NEEDS_DOF = frozenset((MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.SI_FISHER,
+                        MeasureKind.P_VALUE))
 
 
 def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
@@ -187,47 +187,55 @@ def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
     ``h_bar`` the mean marginal entropy, which only ``ni`` reads. The key
     orders candidates, higher meaning more dependent: it is the score
     itself, except that the p-value is keyed on ``-log p``, which stays
-    finite and ordered after the naive value rounds to 0. ``si``,
-    ``si_fisher`` and ``p_value`` refuse ``d < 1``; ``ni`` refuses
-    ``h_bar <= 0``. The statistics may be equal-length arrays, one entry per
-    table, except for the p-value, which takes one table at a time; each
-    entry is then scored exactly as it would be alone. No other function
-    holds a :class:`MeasureKind` formula.
+    finite and ordered after the naive value rounds to 0.
+
+    This is the one place that decides whether a measure is defined:
+    ``mi_bc``, ``si``, ``si_fisher`` and ``p_value`` are undefined when
+    ``d < 1`` (no residual dof to test), and ``ni`` when ``h_bar <= 0``. An
+    undefined entry scores ``nan`` with key ``-inf``, so it ranks after every
+    defined one. The statistics may be equal-length arrays, one entry per
+    table; each entry is then scored exactly as it would be alone. No other
+    function holds a :class:`MeasureKind` formula.
     """
     if kind is MeasureKind.MI_PLUGIN:
         return mi, mi
-    if kind is MeasureKind.MI_BC:
-        v = mi - d / (2.0 * n)
-        return v, v
-    if kind is MeasureKind.NI:
-        if h_bar is None or not _all(h_bar > 0.0):
-            raise ValueError("normalized MI undefined: both marginal entropies are zero")
-        v = np.minimum(mi / h_bar, 1.0)
-        return v, v
-    if not _all(d >= 1):
-        raise ValueError(f"{kind.value} requires dof > 0, table has dof {np.min(d)}")
+    ok = d >= 1 if kind in _NEEDS_DOF else h_bar > 0.0
+    if type(ok) is not np.ndarray:
+        return _formula(kind, mi, d, n, h_bar) if ok else (math.nan, -math.inf)
+    scores, keys = np.full(ok.shape, math.nan), np.full(ok.shape, -math.inf)
+    if kind is MeasureKind.P_VALUE:
+        for i in np.flatnonzero(ok):
+            scores[i], keys[i] = _formula(kind, float(mi[i]), int(d[i]), int(n[i]), None)
+    else:
+        scores[ok] = keys[ok] = _formula(kind, mi[ok], d[ok], n[ok],
+                                         None if h_bar is None else h_bar[ok])[0]
+    return scores, keys
+
+
+def _formula(kind: MeasureKind, mi, d, n, h_bar) -> tuple:
+    """(score, key) of a defined entry, or of equal-length arrays of them."""
     if kind is MeasureKind.P_VALUE:
         q, log_q = reg_gamma_upper(d / 2.0, n * mi)
         # 1 minus the double-precision CDF: rounds to exactly 0.0 once q < ~1e-16
         return 1.0 - (1.0 - q), -log_q
-    v = np.sqrt(2.0 * n * mi) - np.sqrt(d - (0.5 if kind is MeasureKind.SI_FISHER else 0.0))
+    if kind is MeasureKind.MI_BC:
+        v = mi - d / (2.0 * n)
+    elif kind is MeasureKind.NI:
+        v = np.minimum(mi / h_bar, 1.0)
+    else:
+        v = np.sqrt(2.0 * n * mi) - np.sqrt(d - (0.5 if kind is MeasureKind.SI_FISHER else 0.0))
     return v, v
 
 
-def _require_dof(t: CountTable, mode: DofMode) -> int:
-    d = dof(t, mode)
-    if d <= 0:
-        raise ValueError(f"operation requires dof > 0, table has {mode.value} dof 0")
-    return d
-
-
-def _r_score(mi: float, d: int, n: int) -> float:
-    return (2.0 * n * mi - d) / math.sqrt(2.0 * d)
+def _log_p(p_naive: float, neg_log_p: float) -> float:
+    """ln p from a p-value's (score, key): nan, not inf, where the p-value is undefined."""
+    return math.nan if math.isnan(p_naive) else -neg_log_p
 
 
 def r_score(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
-    """Bias-corrected MI in units of the null standard deviation: (2N*mi - d)/sqrt(2d)."""
-    return _r_score(mi_plugin(t), _require_dof(t, mode), t.n)
+    """Bias-corrected MI in units of the null standard deviation: (2N*mi - d)/sqrt(2d);
+    nan when d < 1."""
+    return report(t, mode).r_score
 
 
 def standardized_information(
@@ -237,14 +245,15 @@ def standardized_information(
 ) -> float:
     """sqrt(2N*mi) - sqrt(d), or sqrt(2N*mi) - sqrt(d - 1/2) with the Fisher refinement.
 
-    The plain variant is bounded below by -sqrt(d); both require d >= 1.
+    The plain variant is bounded below by -sqrt(d); both are nan when d < 1.
     """
     kind = MeasureKind.SI_FISHER if fisher_corrected else MeasureKind.SI
     return float(score(kind, mi_plugin(t), dof(t, mode), t.n)[0])
 
 
 def normalized_mi(t: CountTable) -> float:
-    """Plug-in MI over the mean marginal entropy; dimensionless in [0, 1]."""
+    """Plug-in MI over the mean marginal entropy; dimensionless in [0, 1], nan when both
+    marginal entropies are 0."""
     return float(score(MeasureKind.NI, mi_plugin(t), 0, t.n, mean_marginal_entropy(t))[0])
 
 
@@ -269,29 +278,35 @@ def p_value(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> tuple[float, fl
     instability: it is 1 minus the double-precision CDF, so it hits exactly
     0.0 once the tail is below machine epsilon near 1. ``log_p`` comes from
     the log-space upper incomplete gamma and remains finite and strictly
-    ordered far beyond that point.
+    ordered far beyond that point. Both are nan when d < 1.
     """
     p_naive, neg_log_p = score(MeasureKind.P_VALUE, mi_plugin(t), dof(t, mode), t.n)
-    return p_naive, -neg_log_p
+    return p_naive, _log_p(p_naive, neg_log_p)
 
 
 def report(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> DependenceReport:
-    """All measures for one table, from one evaluation each of mi, dof and h_bar."""
-    d = _require_dof(t, mode)
-    n = t.n
-    mi = mi_plugin(t)
-    h_bar = mean_marginal_entropy(t)
+    """All measures for one table, from one evaluation each of mi, dof and h_bar.
+
+    Under the rule of :func:`score`, every field that depends on the dof
+    (``mi_bc``, ``indep_std``, ``r_score``, ``si``, ``si_fisher``, ``p_naive``
+    and ``log_p``) is nan when d < 1, and ``ni`` is nan when h_bar <= 0.
+    """
+    d, n = dof(t, mode), t.n
+    mi, h_bar = mi_plugin(t), mean_marginal_entropy(t)
     scored = {kind: tuple(map(float, score(kind, mi, d, n, h_bar))) for kind in MeasureKind}
+    mi_bc = scored[MeasureKind.MI_BC][0]
+    tested = math.nan if math.isnan(mi_bc) else d  # score leaves mi_bc nan when d < 1
+    p_naive, neg_log_p = scored[MeasureKind.P_VALUE]
     return DependenceReport(
         n=n,
         dof=d,
         mi_plugin=mi,
-        mi_bc=scored[MeasureKind.MI_BC][0],
-        indep_std=math.sqrt(d) / (math.sqrt(2.0) * n),
-        r_score=_r_score(mi, d, n),
+        mi_bc=mi_bc,
+        indep_std=math.sqrt(tested) / (math.sqrt(2.0) * n),
+        r_score=(2.0 * n * mi - tested) / math.sqrt(2.0 * tested),
         si=scored[MeasureKind.SI][0],
         si_fisher=scored[MeasureKind.SI_FISHER][0],
         ni=scored[MeasureKind.NI][0],
-        p_naive=scored[MeasureKind.P_VALUE][0],
-        log_p=-scored[MeasureKind.P_VALUE][1],
+        p_naive=p_naive,
+        log_p=_log_p(p_naive, neg_log_p),
     )

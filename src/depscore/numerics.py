@@ -5,20 +5,17 @@ regularized upper incomplete gamma function (carried in log space so that
 chi-square survival probabilities stay meaningful far past the point where
 the linear value underflows) and a bracketed bisection root finder.
 
-All functions are pure. ``RandomStream`` is the only stateful object and is
-single-owner: never share one across concurrent consumers; derive independent
-substreams instead.
+All functions are pure. The generators that :func:`substream` returns are
+the only stateful objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "RandomStream",
     "substream",
     "reg_gamma_upper",
     "bisect_root",
@@ -32,39 +29,20 @@ _EPS = 1e-15
 # seeded random streams
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RandomStream:
-    """Deterministic random source: a seeded PCG64 generator.
-
-    Two streams built with the same ``seed`` produce identical output
-    sequences. ``spawn_index`` records substream derivation; a substream is a
-    pure function of ``(seed, spawn_index)``.
-    """
-
-    seed: int
-    spawn_index: int | None = None
-    generator: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.spawn_index is None:
-            seq = np.random.SeedSequence(int(self.seed))
-        else:
-            if int(self.spawn_index) < 0:
-                raise ValueError("spawn_index must be nonnegative")
-            seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.spawn_index),))
-        self.generator = np.random.Generator(np.random.PCG64(seq))
-
-
-def substream(master_seed: int, index: int) -> RandomStream:
-    """Independent stream number ``index`` derived from ``master_seed``.
+def substream(master_seed: int, index: int) -> np.random.Generator:
+    """Independent PCG64 stream number ``index`` derived from ``master_seed``.
 
     Deterministic in ``(master_seed, index)``; substreams with distinct
     indices are statistically independent, which is what lets replicates of
     an experiment run in any order (or in parallel) without changing output.
+    A generator is single-owner: derive one per consumer, never share one.
     """
-    return RandomStream(master_seed, spawn_index=index)
+    if not (0 <= int(master_seed) < 2 ** 64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
+    if int(index) < 0:
+        raise ValueError("substream index must be nonnegative")
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "selection_margin",
     "refinement_margin",
     "refinement_increment",
-    "stack_scores",
     "first_best",
 ]
 
@@ -65,21 +64,18 @@ class Ranking:
 
 def score_candidates(tables, kind: MeasureKind,
                      mode: DofMode = DofMode.EFFECTIVE) -> list[ScoredCandidate]:
-    """Score each (id, CountTable) candidate under one measure.
-
-    A failure on one candidate (e.g. zero effective dof for a dof-based
-    measure) is re-raised with that candidate's id attached.
-    """
-    out = []
-    for cid, t in tables:
-        try:
-            d = dof(t, mode)
-            h_bar = measures.mean_marginal_entropy(t) if kind is MeasureKind.NI else None
-            score, key = measures.score(kind, measures.mi_plugin(t), d, t.n, h_bar)
-        except ValueError as exc:
-            raise ValueError(f"candidate {cid!r}: {exc}") from exc
-        out.append(ScoredCandidate(id=str(cid), score=float(score), key=float(key), dof=d, n=t.n))
-    return out
+    """Score each (id, CountTable) candidate under one measure, in one
+    :func:`measures.score` call: a candidate the measure is undefined on
+    scores nan with key ``-inf``, so :func:`rank` puts it last."""
+    tables = [(str(cid), t) for cid, t in tables]
+    mi = np.array([measures.mi_plugin(t) for _, t in tables], dtype=float)
+    d = np.array([dof(t, mode) for _, t in tables], dtype=np.int64)
+    n = np.array([t.n for _, t in tables], dtype=np.int64)
+    h_bar = np.array([measures.mean_marginal_entropy(t) for _, t in tables], dtype=float) \
+        if kind is MeasureKind.NI else None
+    scores, keys = measures.score(kind, mi, d, n, h_bar)
+    return [ScoredCandidate(id=cid, score=float(s), key=float(k), dof=int(dd), n=t.n)
+            for (cid, t), s, k, dd in zip(tables, scores, keys, d)]
 
 
 def rank(candidates) -> Ranking:
@@ -120,26 +116,6 @@ def refinement_increment(mi_fine, d_fine, mi_coarse, d_coarse) -> tuple:
     return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse
 
 
-_NO_SCORE = (1.0, -math.inf)  # (score, key) of a candidate with no estimable structure
-
-
-def stack_scores(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, keys) arrays of candidates given as arrays of their statistics.
-
-    A candidate without estimable structure (dof below 1 under a dof-based
-    measure, ``h_bar <= 0`` under ``ni``) gets score 1 and key ``-inf``."""
-    ok = d >= 1 if kind.needs_dof else h_bar > 0.0 if kind is MeasureKind.NI \
-        else np.ones(mi.shape, dtype=bool)
-    scores, keys = np.full(mi.shape, _NO_SCORE[0]), np.full(mi.shape, _NO_SCORE[1])
-    if kind is MeasureKind.P_VALUE:
-        for i in np.flatnonzero(ok):
-            scores[i], keys[i] = measures.score(kind, float(mi[i]), int(d[i]), int(n[i]))
-    else:
-        scores[ok], keys[ok] = measures.score(kind, mi[ok], d[ok], n[ok],
-                                              None if h_bar is None else h_bar[ok])
-    return scores, keys
-
-
 def first_best(scores, keys) -> tuple[float, float]:
     """(score, key) of the first candidate with the highest key."""
     i = int(np.argmax(keys))
@@ -175,6 +151,6 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
     mi_within, d_within = refinement_increment(
         measures.mi_plugin_stack(fine), dof_stack(fine, mode),
         measures.mi_plugin_stack(coarse), dof_stack(coarse, mode))
-    _, keys = stack_scores(kind, mi_within, d_within, np.array([t_fine.n]),
-                           measures.mean_marginal_entropy_stack(fine))
+    _, keys = measures.score(kind, mi_within, d_within, np.array([t_fine.n]),
+                             measures.mean_marginal_entropy_stack(fine))
     return "fine" if keys[0] > refinement_margin(kind, alpha) else "coarse"

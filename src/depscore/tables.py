@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RandomStream
-
 __all__ = [
     "CountTable",
     "ProbTable",
@@ -203,9 +201,9 @@ def merge_states(t: CountTable, part_a, part_b) -> CountTable:
     return CountTable(_freeze(out))
 
 
-def sample_table(p: ProbTable, n: int, stream: RandomStream) -> CountTable:
-    """n i.i.d. draws from the joint p, accumulated into counts."""
+def sample_table(p: ProbTable, n: int, gen: np.random.Generator) -> CountTable:
+    """n i.i.d. draws from the joint p with ``gen``, accumulated into counts."""
     if int(n) < 1:
         raise ValueError("n must be >= 1")
-    flat = stream.generator.multinomial(int(n), p.probs.ravel())
+    flat = gen.multinomial(int(n), p.probs.ravel())
     return CountTable(_freeze(flat.reshape(p.probs.shape).astype(np.int64)))

@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depscore import DofMode, EssResult, cli, constraint_lhs, constraint_rhs, make_prob_table
+from depscore import (DependenceReport, DofMode, EssResult, cli, constraint_lhs, constraint_rhs,
+                      make_prob_table)
 from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
 from depscore.experiments import FIG3_MAX_N
 
 MI_2112 = 0.05663301226513249
+# the report fields that are nan when the dof is below 1
+DOF_FIELDS = ("mi_bc", "indep_std", "r_score", "si", "si_fisher", "p_naive", "log_p")
 
 
 def run_cli(capsys, *argv):
@@ -184,17 +187,19 @@ def test_measure_counts_file(tmp_path, capsys):
 
 
 def test_measure_dataset_matches_counts(tmp_path, capsys):
-    # [(x,u),(y,v),(x,u)] maps to the diagonal-ish table [[2,0],[0,1]],
-    # whose effective dof is 0: the command answers with a partial report
+    # [(x,u),(y,v),(x,u)] maps to the diagonal-ish table [[2,0],[0,1]], whose
+    # effective dof is 0: the full report, with nan in every dof-based field
     ds = tmp_path / "d.tsv"
     ds.write_text("a\tb\nx\tu\ny\tv\nx\tu\n")
     code, out, _ = run_cli(capsys, "measure", "--input", str(ds))
     assert code == 0
     assert "# labels a: x y" in out
-    assert "partial report" in out
+    assert out.count(cli._UNDEFINED_NOTE + "\n") == 1
     vals = parse_kv(out)
+    assert list(vals) == [f.name for f in fields(DependenceReport)]
     assert int(vals["n"]) == 3 and int(vals["dof"]) == 0
-    assert "si" not in vals and "log_p" not in vals
+    assert all(vals[k] == "nan" for k in DOF_FIELDS)
+    assert float(vals["ni"]) == 1.0
     cf = tmp_path / "t.counts"
     cf.write_text("2 0\n0 1\n")
     code2, out2, _ = run_cli(capsys, "measure", "--input", str(cf))
@@ -230,12 +235,25 @@ def test_measure_dof_flag(tmp_path, capsys):
     f = tmp_path / "diag.counts"
     f.write_text("5 0\n0 5\n")
     code, out, _ = run_cli(capsys, "measure", "--input", str(f))
-    assert code == 0 and "partial report" in out      # effective dof 0
-    assert "si" not in parse_kv(out)
+    assert code == 0 and cli._UNDEFINED_NOTE in out      # effective dof 0
+    assert parse_kv(out)["si"] == "nan" and parse_kv(out)["log_p"] == "nan"
     code2, out2, _ = run_cli(capsys, "measure", "--input", str(f),
                              "--dof", "nominal")
-    assert code2 == 0 and "partial" not in out2
+    assert code2 == 0 and "#" not in out2 and "nan" not in out2
     assert float(parse_kv(out2)["si"]) == pytest.approx(2.723297411059034, abs=1e-9)
+
+
+def test_measure_one_cell_table_nominal(tmp_path, capsys):
+    # nominal dof 1 scores the dof-based measures; both marginal entropies are
+    # 0, so ni alone is undefined
+    f = tmp_path / "one.counts"
+    f.write_text("7 0\n0 0\n")
+    code, out, err = run_cli(capsys, "measure", "--input", str(f), "--dof", "nominal")
+    assert code == 0 and err == ""
+    vals = parse_kv(out)
+    assert vals["ni"] == "nan" and out.count("#") == 1
+    assert float(vals["si"]) == -1.0 and float(vals["log_p"]) == 0.0
+    assert "nan" not in [v for k, v in vals.items() if k != "ni"]
 
 
 @pytest.mark.parametrize("rows", ["9999999999999999999999 1\n1 1\n",
@@ -314,16 +332,75 @@ def test_rank_unknown_column(tmp_path, capsys):
 
 
 def test_rank_constant_column_named(tmp_path, capsys):
-    # a column with one label cannot form a pair; the error names it
+    # a column with one label is a 2-state variable with one empty state: its
+    # effective dof is 0, so under si it is named in the ranking, last, as nan
     f = tmp_path / "const.csv"
     f.write_text("f,const,y\n" + "\n".join(
         f"v{i % 3},k,w{i % 2}" for i in range(200)) + "\n")
     code, out, err = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y")
-    assert code == 1 and out == ""
-    assert "'const'" in err and "'k'" in err
+    assert code == 0 and err == ""
+    rows = [ln.split("\t") for ln in out.strip().split("\n") if not ln.startswith("#")]
+    assert rows[-1][:3] == ["2", "const", "nan"]
     code, out, err = run_cli(capsys, "measure", "--input", str(f), "--pair", "f", "const")
-    assert code == 1 and out == ""
-    assert "'const'" in err and "'k'" in err
+    assert code == 0 and err == ""
+    assert "# labels const: k" in out and parse_kv(out)["si"] == "nan"
+
+
+def make_degenerate_dataset(tmp_path):
+    """Class y; p predicts it perfectly, c is constant, g1 and g2 are noisy copies."""
+    gen = np.random.default_rng(3)
+    y = gen.integers(0, 3, size=300)
+    g1 = np.where(gen.random(300) < 0.7, y, gen.integers(0, 3, size=300))
+    g2 = np.where(gen.random(300) < 0.4, y, gen.integers(0, 3, size=300))
+    rows = ["g1,p,c,g2,y"] + [f"a{u},b{v},k,d{w},y{v}" for u, v, w in zip(g1, y, g2)]
+    f = tmp_path / "degenerate.csv"
+    f.write_text("\n".join(rows) + "\n")
+    return f
+
+
+def rank_rows(out: str) -> list[list[str]]:
+    """The ranked rows of `rank` output, without comments and header."""
+    return [ln.split("\t") for ln in out.strip().split("\n") if not ln.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("measure", ["si", "si_fisher", "p_value", "mi_bc"])
+def test_rank_undefined_candidates_last(tmp_path, capsys, measure):
+    # effective dof: the diagonal table of p and the empty state of c leave no
+    # residual dof, so both are undefined and rank after every scored feature
+    f = make_degenerate_dataset(tmp_path)
+    code, out, err = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y",
+                             "--measure", measure)
+    assert code == 0 and err == ""
+    assert out.count(cli._UNDEFINED_NOTE + "\n") == 1 and "inf" not in out
+    rows = rank_rows(out)
+    assert [r[1] for r in rows] == ["g1", "g2", "c", "p"]   # ties: dof 0 both, then id
+    assert all(r[2] == "nan" for r in rows[2:])
+    assert all(r[2] != "nan" for r in rows[:2])
+    if measure == "p_value":
+        assert [r[3] for r in rows[2:]] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize("measure", ["si", "p_value", "mi_bc"])
+def test_rank_perfect_predictor_first_under_nominal_dof(tmp_path, capsys, measure):
+    f = make_degenerate_dataset(tmp_path)
+    code, out, err = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y",
+                             "--measure", measure, "--dof", "nominal")
+    assert code == 0 and err == ""
+    assert "nan" not in out and cli._UNDEFINED_NOTE not in out
+    rows = rank_rows(out)
+    assert rows[0][1] == "p" and rows[-1][1] == "c"
+
+
+def test_rank_ni_scores_both_degenerate_columns(tmp_path, capsys):
+    # ni reads no dof and the class has entropy, so both are defined: the
+    # perfect predictor scores 1, the constant column 0
+    f = make_degenerate_dataset(tmp_path)
+    code, out, err = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y",
+                             "--measure", "ni")
+    assert code == 0 and err == ""
+    assert "nan" not in out and cli._UNDEFINED_NOTE not in out
+    rows = rank_rows(out)
+    assert rows[0][1:] == ["p", "1.0"] and rows[-1][1:] == ["c", "0.0"]
 
 
 def test_rank_single_feature(tmp_path, capsys):

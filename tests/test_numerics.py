@@ -14,7 +14,6 @@ except ImportError:  # the quantile oracle then bisects the double-precision erf
     mpmath = None
 
 from depscore import (
-    RandomStream,
     bisect_root,
     reg_gamma_upper,
     si_threshold,
@@ -194,18 +193,28 @@ def test_inv_std_normal_cdf_domain(bad):
 # ---------------------------------------------------------------------------
 
 def test_stream_determinism():
-    a = RandomStream(1234)
-    b = RandomStream(1234)
-    assert a.generator.random(20).tolist() == b.generator.random(20).tolist()
+    a = substream(1234, 0)
+    b = substream(1234, 0)
+    assert isinstance(a, np.random.Generator)
+    assert a.random(20).tolist() == b.random(20).tolist()
+    # stream (seed, index) is PCG64 on SeedSequence(seed, spawn_key=(index,))
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1234, spawn_key=(0,))))
+    assert substream(1234, 0).random(20).tolist() == ref.random(20).tolist()
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
+def test_substream_rejects_bad_seed_or_index(seed, index):
+    with pytest.raises(ValueError):
+        substream(seed, index)
 
 
 def test_substream_determinism_and_separation():
     a = substream(99, 3)
     b = substream(99, 3)
     c = substream(99, 4)
-    seq_a = a.generator.random(10).tolist()
-    assert seq_a == b.generator.random(10).tolist()
-    assert seq_a != c.generator.random(10).tolist()
+    seq_a = a.random(10).tolist()
+    assert seq_a == b.random(10).tolist()
+    assert seq_a != c.random(10).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,15 @@ def test_score_candidates_orientation():
 
 
 def test_score_candidates_surfaces_id_on_error():
-    bad = from_counts([[5, 0], [0, 0]])   # effective dof 0
-    with pytest.raises(ValueError, match="badcand"):
-        score_candidates([("badcand", bad)], MeasureKind.SI)
+    # effective dof 0 under a dof-based measure: the candidate keeps its id,
+    # scores nan and ranks last (mi_bc of the diagonal table is no longer its MI)
+    bad, diag = from_counts([[5, 0], [0, 0]]), from_counts([[5, 0], [0, 5]])
+    good = from_counts([[30, 5], [5, 30]])
+    for kind in (MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.SI_FISHER, MeasureKind.P_VALUE):
+        ranking = rank(score_candidates([("badcand", bad), ("diag", diag), ("good", good)], kind))
+        assert [c.id for c in ranking.candidates] == ["good", "badcand", "diag"]
+        for c in ranking.candidates[1:]:
+            assert math.isnan(c.score) and c.key == -math.inf and c.dof == 0
 
 
 def test_score_candidates_p_value_key_is_neg_log_p():

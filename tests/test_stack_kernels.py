@@ -1,8 +1,7 @@
 """The stack kernels against the per-table functions, bit for bit.
 
-``mi_plugin_stack``, ``mean_marginal_entropy_stack``, ``dof_stack``, the
-array form of ``score`` and ``ranking.stack_scores`` score many tables of
-one shape at once. Every value must equal (``==``, not approximately) the
+``mi_plugin_stack``, ``mean_marginal_entropy_stack``, ``dof_stack`` and the
+array form of ``score`` score many tables of one shape at once. Every value must equal (``==``, not approximately) the
 per-table function on that table alone, and the per-table functions must
 equal the plain one-table formulas written out below.
 """
@@ -25,7 +24,6 @@ from depscore import (
     score,
 )
 from depscore import measures, tables
-from depscore.ranking import stack_scores
 
 
 def reference_mi(c: np.ndarray) -> float:
@@ -87,6 +85,7 @@ def test_stacks_cover_the_edge_cases():
     assert any((c.sum(axis=1) == 0).any() for c in tables)
     assert any((c.sum(axis=0) == 0).any() for c in tables)
     assert any(reference_dof(c, DofMode.EFFECTIVE) == 0 for c in tables)
+    assert any(reference_h_bar(c) == 0.0 for c in tables)
     assert min(min(c.shape) for c in tables) == 2 and max(max(c.shape) for c in tables) == 12
 
 
@@ -106,24 +105,23 @@ def test_statistics_equal_per_table(i):
 
 @pytest.mark.parametrize("i", range(0, len(STACKS), 3))
 def test_scores_equal_per_table(i):
+    # every measure, the p-value included, over the arrays of a stack: a
+    # defined entry is its one-table score, an undefined one is (nan, -inf)
     stack = STACKS[i]
     n = stack.sum(axis=(1, 2))
     mi, d, h_bar = mi_plugin_stack(stack), dof_stack(stack), mean_marginal_entropy_stack(stack)
     for kind in MeasureKind:
-        ok = d >= 1 if kind.needs_dof else h_bar > 0.0 if kind is MeasureKind.NI \
-            else np.ones(len(stack), dtype=bool)
-        scores, keys = stack_scores(kind, mi, d, n, h_bar)
-        if kind is not MeasureKind.P_VALUE:
-            arr = score(kind, mi[ok], d[ok], n[ok], h_bar[ok])
-            assert arr[0].tolist() == scores[ok].tolist()
-            assert arr[1].tolist() == keys[ok].tolist()
+        scores, keys = score(kind, mi, d, n, h_bar)
+        defined = np.ones(len(stack), dtype=bool) if kind is MeasureKind.MI_PLUGIN \
+            else h_bar > 0.0 if kind is MeasureKind.NI else d >= 1
         for g, c in enumerate(stack):
             t = from_counts(c)
-            if ok[g]:
-                one = score(kind, mi_plugin(t), dof(t), t.n, mean_marginal_entropy(t))
+            one = score(kind, mi_plugin(t), dof(t), t.n, mean_marginal_entropy(t))
+            if defined[g]:
                 assert (scores[g], keys[g]) == one
             else:
-                assert (scores[g], keys[g]) == (1.0, -np.inf)
+                assert np.isnan(scores[g]) and np.isnan(one[0])
+                assert keys[g] == one[1] == -np.inf
 
 
 def test_zero_padding_would_change_the_sums():
