@@ -22,12 +22,19 @@ above the values; `rank` puts such candidates last. A column with a single
 label is a 2-state variable whose second state is empty, so it falls under
 the same rule.
 
+`ess --curve NPRIME_MAX` also tabulates both sides of the ESS constraint; it
+is the one command that writes that curve. The curve is built, and written
+to `--out`, before the root is solved, so a table with no root still gets
+its curve file, while the command exits 3 with nothing on stdout.
+`experiment` runs the seeded studies fig2 and fig3.
+
 Every command is deterministic given its flags (plus `--seed` where
 relevant): output contains no timestamps or environment state. Exit codes:
 0 success; 2 usage errors, found before any output: an empty, malformed or
-unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` or
-`--nprime-max` not finite and >= 0, a point count outside 1..MAX_CURVE_POINTS,
-or an `--alpha` that is not a number strictly between 0 and 1;
+unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` not
+finite and >= 0, a `--curve-points` outside 1..MAX_CURVE_POINTS, an `ess`
+`--curve-points` or `--out` without `--curve`, or an `--alpha` that is not a
+number strictly between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
 a fig3 n above `experiments.FIG3_MAX_N`, a study n or a count total of 2**63
 or more. Nothing is printed to stdout unless the exit code is 0.
@@ -246,37 +253,31 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _read_prior(arg: str):
-    """None for 'uniform', else the weight-table file at ``arg`` normalized."""
-    if arg == "uniform":
-        return None
-    weights = read_count_table(arg).counts.astype(float)
-    return make_prob_table(weights / weights.sum())
-
-
-def _curve_text(table: CountTable, prior, nprime_max: float, points: int,
-                mode: DofMode) -> str:
-    """Both sides of the ESS constraint on an even grid over [0, nprime_max]."""
-    grid = np.linspace(0.0, float(nprime_max), int(points))
-    lhs, rhs = constraint_lhs(table, grid, prior), constraint_rhs(table, mode)
-    rows = ["n_prime\tlhs\trhs"]
-    rows += [f"{g:g}\t{_fmt(v)}\t{_fmt(rhs)}" for g, v in zip(grid, lhs)]
-    return "\n".join(rows) + "\n"
-
-
 def _cmd_ess(args) -> int:
+    if args.curve is None:
+        for flag, value in (("--curve-points", args.curve_points), ("--out", args.out)):
+            if value is not None:
+                args.usage_error(f"argument {flag}: requires --curve")
     table = read_count_table(args.input)
-    prior = _read_prior(args.prior)
+    prior = None
+    if args.prior != "uniform":
+        weights = read_count_table(args.prior).counts.astype(float)
+        prior = make_prob_table(weights / weights.sum())
     mode = DofMode(args.dof)
-    result = solve_ess(table, prior, mode)
-    text = "".join(f"{f.name}\t{_fmt(getattr(result, f.name))}\n" for f in fields(result))
+    curve = ""
     if args.curve is not None:
-        curve = _curve_text(table, prior, args.curve, args.curve_points, mode)
+        # both sides of the constraint on an even grid over [0, NPRIME_MAX], built before
+        # the solve, so a table with no root still gets its curve written to --out
+        grid = np.linspace(0.0, args.curve, args.curve_points or 101)
+        rhs = _fmt(constraint_rhs(table, mode))
+        curve = "n_prime\tlhs\trhs\n" + "".join(
+            f"{g:g}\t{_fmt(v)}\t{rhs}\n" for g, v in zip(grid, constraint_lhs(table, grid, prior)))
         if args.out:  # written before anything is printed, so a failed write prints nothing
             Path(args.out).write_text(curve, encoding="utf-8")
             curve = f"# curve written to {args.out}\n"
-        text += curve
-    sys.stdout.write(text)
+    result = solve_ess(table, prior, mode)
+    sys.stdout.write("".join(f"{f.name}\t{_fmt(getattr(result, f.name))}\n"
+                             for f in fields(result)) + curve)
     return EXIT_OK
 
 
@@ -309,8 +310,8 @@ def _with_suffix(path: Path, tag: str) -> Path:
 
 
 def _cmd_experiment(args) -> int:
-    mode = DofMode(args.dof)
-    study = dict(replicates=args.replicates, master_seed=args.seed, alpha=args.alpha, mode=mode)
+    study = dict(replicates=args.replicates, master_seed=args.seed, alpha=args.alpha,
+                 mode=DofMode(args.dof))
     if args.n_values is not None:
         study["n_values"] = args.n_values
     if args.measures is not None:
@@ -324,25 +325,15 @@ def _cmd_experiment(args) -> int:
         print("fraction favoring 2 states at n=%g: %s"
               % (curve.x_values[-1], " ".join(f"{m}={v:.3f}" for m, v in tail.items())))
         return EXIT_OK
-    if args.name == "fig2":
-        curves = run_discretization_experiment(z_grid=args.z_grid, **study)
-        out = Path(args.out)
-        written = ""  # printed once every file is written
-        for n, curve in curves.items():
-            path = _with_suffix(out, f"_n{n}") if len(curves) > 1 else out
-            path.write_text(format_curve(curve), encoding="utf-8")
-            written += f"wrote {path}\n"
-        sys.stdout.write(written)
-        return EXIT_OK
-    if args.name == "ess-curve":
-        if not args.input:
-            raise ValueError("ess-curve requires --input COUNTFILE")
-        text = _curve_text(read_count_table(args.input), _read_prior(args.prior),
-                           args.nprime_max, args.nprime_points, mode)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-        return EXIT_OK
-    raise ValueError(f"unknown experiment {args.name!r}")  # pragma: no cover
+    curves = run_discretization_experiment(z_grid=args.z_grid, **study)  # fig2
+    out = Path(args.out)
+    written = ""  # printed once every file is written
+    for n, curve in curves.items():
+        path = _with_suffix(out, f"_n{n}") if len(curves) > 1 else out
+        path.write_text(format_curve(curve), encoding="utf-8")
+        written += f"wrote {path}\n"
+    sys.stdout.write(written)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"depscore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    nprime_max = _in_range(float, "a finite number >= 0", 0.0)
     # the floats strictly between 0 and 1, so 1e-17 is one
     alpha = _in_range(float, "a number strictly between 0 and 1",
                       math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
@@ -392,15 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--prior", default="uniform",
                    help="'uniform' or a path to a weight table (default: uniform)")
-    p.add_argument("--curve", type=nprime_max, default=None, metavar="NPRIME_MAX",
-                   help="also tabulate the constraint over [0, NPRIME_MAX]")
-    p.add_argument("--curve-points", type=points, default=101)
-    p.add_argument("--out", default=None, help="write the curve here instead of stdout")
+    p.add_argument("--curve", type=_in_range(float, "a finite number >= 0", 0.0), default=None,
+                   metavar="NPRIME_MAX", help="also tabulate the constraint over [0, NPRIME_MAX]")
+    p.add_argument("--curve-points", type=points, default=None, metavar="P",
+                   help="grid points of the curve (default: 101; needs --curve)")
+    p.add_argument("--out", default=None,
+                   help="write the curve here instead of stdout (needs --curve)")
     common(p)
-    p.set_defaults(func=_cmd_ess)
+    p.set_defaults(func=_cmd_ess, usage_error=p.error)
 
     p = sub.add_parser("experiment", help="run a seeded study and write its curve")
-    p.add_argument("name", choices=["fig2", "fig3", "ess-curve"])
+    p.add_argument("name", choices=["fig2", "fig3"])
     p.add_argument("--out", required=True)
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--z", type=float, default=0.10, help="dependence parameter (fig3)")
@@ -414,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated measure names (default: %s)"
                    % ",".join(k.value for k in DEFAULT_MEASURES))
     p.add_argument("--alpha", type=alpha, default=0.05)
-    p.add_argument("--input", default=None, help="count table (ess-curve)")
-    p.add_argument("--prior", default="uniform")
-    p.add_argument("--nprime-max", type=nprime_max, default=200.0)
-    p.add_argument("--nprime-points", type=points, default=101)
     # the study decision rules are calibrated on nominal dof
     common(p, seed=True, dof_default="nominal")
     p.set_defaults(func=_cmd_experiment)

@@ -2,10 +2,17 @@
 state merging, and sampling.
 
 States are dense 0-based integer indices; mapping from external labels is an
-ingestion concern (see :mod:`depscore.cli`). Counts are 64-bit integers so
-that ``2 * n * mi`` stays exact for totals up to ~1e12; probabilities are
-double precision. Both table types are immutable after construction and safe
-to share across threads.
+ingestion concern (see :mod:`depscore.cli`). Counts are 64-bit integers, so
+totals up to 2**63 - 1 are accepted; probabilities are double precision.
+Both table types are immutable after construction and safe to share across
+threads.
+
+``G = 2 * n * mi`` loses digits as the total grows: the plug-in MI sums terms
+of order 1/sqrt(n) that cancel to order 1/n. Against mpmath at 80 digits, on
+10 seeded near-independent 4x4 tables per total, its worst relative error
+was about 1e-11 at n = 1e6, 1e-8 at 1e9, 1e-5 at 1e12, 1e-2 at 1e15 and
+0.5 at 1e16. ``test_g_statistic_accurate_up_to_1e9`` pins 1e-7 up to
+n = 1e9; a cancellation-free G is ROADMAP item 2.
 """
 
 from __future__ import annotations

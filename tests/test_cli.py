@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from depscore import (DependenceReport, DofMode, EssResult, cli, constraint_lhs, constraint_rhs,
-                      make_prob_table)
+                      make_prob_table, mi_plugin)
 from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
 from depscore.experiments import FIG3_MAX_N
 
@@ -454,9 +454,40 @@ def test_ess_curve_output(tmp_path, capsys):
                            "--curve", "40", "--curve-points", "21",
                            "--out", str(out_path))
     assert code == 0
+    assert out.endswith(f"# curve written to {out_path}\n")
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "n_prime\tlhs\trhs"
     assert len(lines) == 22
+    # the curve's rhs column is the printed rhs, to the last digit
+    assert {ln.split("\t")[2] for ln in lines[1:]} == {parse_kv(out)["rhs"]}
+
+
+def test_ess_curve_nominal_dof_grid(tmp_path, capsys):
+    f = tmp_path / "t.counts"
+    f.write_text("200 100\n100 200\n")
+    out = tmp_path / "curve.tsv"
+    code, _, _ = run_cli(capsys, "ess", "--input", str(f), "--curve", "40",
+                         "--curve-points", "11", "--dof", "nominal", "--out", str(out))
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "n_prime\tlhs\trhs"
+    assert [ln.split("\t")[0] for ln in lines[1:]] == [f"{4 * i}" for i in range(11)]
+    _check_curve_rows(out, f, DofMode.NOMINAL)
+
+
+@pytest.mark.parametrize("rows", ["5 0\n0 7\n", "2 2\n2 2\n"])
+def test_ess_curve_written_without_root(tmp_path, capsys, rows):
+    # the curve is written before the solve, so a table with no root keeps it
+    f = tmp_path / "t.counts"
+    f.write_text(rows)
+    out = tmp_path / "curve.tsv"
+    code, stdout, err = run_cli(capsys, "ess", "--input", str(f), "--curve", "10",
+                                "--curve-points", "3", "--out", str(out))
+    assert code == 3 and stdout == "" and "no-root" in err
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 4
+    _check_curve_rows(out, f, DofMode.EFFECTIVE)
+    assert lines[1].split("\t")[:2] == ["0", repr(mi_plugin(read_count_table(f)))]
 
 
 @pytest.mark.parametrize("out", ["missing/curve.tsv", "."])
@@ -494,12 +525,10 @@ def test_ess_curve_rows_are_plain_numbers(tmp_path, capsys):
                          "--out", str(curve))
     assert code == 0
     _check_curve_rows(curve, f, DofMode.NOMINAL, prior)
-    exp_curve = tmp_path / "exp.tsv"
-    code, _, _ = run_cli(capsys, "experiment", "ess-curve", "--input", str(f),
-                         "--dof", "effective", "--nprime-max", "60", "--nprime-points", "31",
-                         "--out", str(exp_curve))
+    code, _, _ = run_cli(capsys, "ess", "--input", str(f), "--dof", "effective",
+                         "--curve", "60", "--curve-points", "31", "--out", str(curve))
     assert code == 0
-    _check_curve_rows(exp_curve, f, DofMode.EFFECTIVE)
+    _check_curve_rows(curve, f, DofMode.EFFECTIVE)
 
 
 @pytest.mark.parametrize("argv", [
@@ -509,9 +538,9 @@ def test_ess_curve_rows_are_plain_numbers(tmp_path, capsys):
     ["ess", "--curve", "10", "--curve-points", "0"],
     ["ess", "--curve", "10", "--curve-points", str(MAX_CURVE_POINTS + 1)],
     ["ess", "--curve", "10", "--curve-points", "100000000000"],
-    ["experiment", "ess-curve", "--nprime-max", "nan"],
-    ["experiment", "ess-curve", "--nprime-points", "0"],
-    ["experiment", "ess-curve", "--nprime-points", "100000000000"],
+    # --curve-points and --out need --curve; the bare command fails on the --out added below
+    ["ess", "--curve-points", "5"],
+    ["ess"],
     # --alpha must lie strictly between 0 and 1, whichever measure reads it
     ["experiment", "fig3", "--measures", "p_value", "--alpha", "0"],
     ["experiment", "fig3", "--measures", "mi_bc", "--alpha", "1.5"],
@@ -532,7 +561,8 @@ def test_curve_flags_are_usage_errors(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and f"argument {argv[-2]}" in errors[0]
+    flag = argv[-2] if len(argv) > 1 else "--out"
+    assert len(errors) == 1 and f"argument {flag}" in errors[0]
     assert not out.exists()
 
 
@@ -618,19 +648,6 @@ def test_experiment_fig2_writes_per_n_files(tmp_path, capsys):
     assert (tmp_path / "fig2_n100.tsv").exists()
     text = (tmp_path / "fig2_n25.tsv").read_text()
     assert text.splitlines()[-1].startswith("0.1\t")
-
-
-def test_experiment_ess_curve(tmp_path, capsys):
-    f = tmp_path / "t.counts"
-    f.write_text("200 100\n100 200\n")
-    out = tmp_path / "curve.tsv"
-    code, _, _ = run_cli(capsys, "experiment", "ess-curve", "--input", str(f),
-                         "--nprime-max", "40", "--nprime-points", "11",
-                         "--out", str(out))
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n_prime\tlhs\trhs"
-    assert len(lines) == 12
 
 
 def test_experiment_fig2_default_fractions_in_range(tmp_path, capsys):

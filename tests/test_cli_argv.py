@@ -74,8 +74,7 @@ def optional(draw, flag: str, values) -> list[str]:
 def argv_for(command: str, draw, paths) -> list[str]:
     good = ["dataset"] if command in ("measure", "rank") else ["counts", "wide"]
     inputs = st.sampled_from(good) | st.sampled_from([*FILES, "missing", "root"])
-    source = [] if command == "ess-curve" and draw(st.booleans()) else \
-        ["--input", paths[draw(inputs)]]
+    source = ["--input", paths[draw(inputs)]]
     outs = st.sampled_from(["out.tsv", "missing/out.tsv", ""])
     out = os.path.join(paths["root"], draw(outs))
     dof = optional(draw, "--dof", st.sampled_from(["nominal", "effective"]))
@@ -109,14 +108,11 @@ def argv_for(command: str, draw, paths) -> list[str]:
         # sample sizes on both sides of the int64 limit; multinomial draws of any n are quick
         return [*study, "--n-values", draw(number_list("1", "25", str(2**63 - 1), str(2**63))),
                 *optional(draw, "--z-grid", number_list("0", "0.05", "0.125"))]
-    if command == "fig3":
-        return [*study, "--n-values", draw(number_list("32", "64", str(FIG3_MAX_N + 1))),
-                *optional(draw, "--z", number("0", "0.1", "0.25", "0.3"))]
-    return [*study, *source, *prior, *optional(draw, "--nprime-max", number("0", "200")),
-            *optional(draw, "--nprime-points", number("1", "101", str(MAX_CURVE_POINTS)))]
+    return [*study, "--n-values", draw(number_list("32", "64", str(FIG3_MAX_N + 1))),
+            *optional(draw, "--z", number("0", "0.1", "0.25", "0.3"))]
 
 
-@pytest.mark.parametrize("command", ["measure", "rank", "ess", "fig2", "fig3", "ess-curve"])
+@pytest.mark.parametrize("command", ["measure", "rank", "ess", "fig2", "fig3"])
 @ARGV_SETTINGS
 @given(data=st.data())
 def test_any_argv_ends_in_a_documented_exit_code(paths, command, data):

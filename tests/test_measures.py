@@ -110,6 +110,25 @@ def test_mi_bias_correction_vanishes_with_n():
     assert gaps[-1] == pytest.approx(0.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [1e3, 1e6, 1e9])
+def test_g_statistic_accurate_up_to_1e9(n):
+    # G = 2N·mi of near-independent 4x4 tables (G about 4-23 on 9 dof) against
+    # mpmath at 80 digits. Its terms cancel, so the error grows with N: about
+    # 1e-5 at N = 1e12 and 0.5 at 1e16 (see the tables module docstring).
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(round(math.log10(n)))
+    for _ in range(10):
+        p = np.outer(rng.dirichlet(np.full(4, 5.0)), rng.dirichlet(np.full(4, 5.0)))
+        noisy = np.floor(p * n + rng.normal(size=(4, 4)) * np.sqrt(p * n))
+        t = from_counts(np.maximum(noisy, 1).astype(np.int64))
+        c = t.counts.tolist()
+        rows, cols = [sum(r) for r in c], [sum(col) for col in zip(*c)]
+        with mpmath.workdps(80):
+            g = 2 * mpmath.fsum(v * mpmath.log(mpmath.mpf(v * t.n) / (rows[i] * cols[j]))
+                                for i, r in enumerate(c) for j, v in enumerate(r))
+        assert abs(2 * t.n * mi_plugin(t) - g) <= 1e-7 * g
+
+
 # ---------------------------------------------------------------------------
 # null standard deviation and r score
 # ---------------------------------------------------------------------------
