@@ -36,14 +36,13 @@ from .measures import (
     conditional_entropy,
     entropy,
     mean_marginal_entropy,
-    mean_marginal_entropy_stack,
     mi_plugin,
-    mi_plugin_stack,
     normalized_mi,
     p_value,
     r_score,
     report,
     score,
+    stack_stats,
     standardized_information,
 )
 from .numerics import (
@@ -65,7 +64,6 @@ from .tables import (
     DofMode,
     ProbTable,
     dof,
-    dof_stack,
     empirical_joint,
     from_counts,
     from_samples,

@@ -9,6 +9,7 @@ labels; labels map to dense indices in first-appearance order per column, and
 the mapping is echoed in output comments so sparse-label behavior is
 reproducible. The reader's rules, the same for both formats:
 
+- files are read as UTF-8, and a byte-order mark at the start is dropped;
 - blank lines, and lines whose first non-blank character is `#`, are
   skipped, so a dataset row whose first label starts with `#` is dropped;
 - fields are split on commas if the first row contains one, else on tabs if
@@ -37,7 +38,8 @@ finite and >= 0, a `--curve-points` outside 1..MAX_CURVE_POINTS, an `ess`
 number strictly between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
 a fig3 n above `experiments.FIG3_MAX_N`, a study n or a count total of 2**63
-or more. Nothing is printed to stdout unless the exit code is 0.
+or more, and a dataset header that names a column twice. Nothing is printed
+to stdout unless the exit code is 0.
 """
 
 from __future__ import annotations
@@ -96,11 +98,12 @@ def _fmt(x) -> str:
 def _rows(path):
     """Yield the nonempty fields of each data line of ``path``, one row at a time.
 
-    Blank lines and lines whose first non-blank character is ``#`` are
-    skipped. The delimiter is sniffed from the first row (comma, else tab,
-    else runs of whitespace), and every row must have as many fields as it.
+    The file is UTF-8; a byte-order mark at its start is dropped. Blank lines
+    and lines whose first non-blank character is ``#`` are skipped. The
+    delimiter is sniffed from the first row (comma, else tab, else runs of
+    whitespace), and every row must have as many fields as it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         delim = width = None
         for line in fh:
             if not line.strip() or line.lstrip().startswith("#"):
@@ -165,6 +168,8 @@ def _dataset(rows, path) -> Dataset:
         raise ValueError(f"{path}: need a header row and at least one sample row")
     if len(names) < 2:
         raise ValueError(f"{path}: need at least two columns")
+    if repeated := next((nm for i, nm in enumerate(names) if nm in names[:i]), None):
+        raise ValueError(f"{path}: column name {repeated!r} is repeated in the header")
     maps: list[dict[str, int]] = [dict() for _ in names]
     cols: list[list[int]] = [[] for _ in names]
     for fields in chain([first], rows):

@@ -1,5 +1,4 @@
-"""Seeded synthetic studies: discretization, feature selection, and the
-equivalent-sample-size constraint curve.
+"""Seeded synthetic studies: discretization and feature selection.
 
 Every run is a pure function of its configuration including the master
 seed; replicate ``r`` draws from ``substream(master_seed, r)``, so
@@ -26,8 +25,9 @@ Naive Bayes model (feature selection study)
 Stacks. One replicate's tables are sampled into (G, a, b) count stacks, and
 no stack spans two replicates: discretization draws one (len(z_grid) *
 len(n_values), 4, 4) stack, z-major; feature selection a (10, 2, 4) and a
-(10, 4, 4) stack per sample size. The stack kernels equal the per-table
-functions bit for bit, so each curve is the one a table-by-table run gives.
+(10, 4, 4) stack per sample size. ``measures.stack_stats`` equals the
+per-table functions bit for bit, so each curve is the one a table-by-table
+run gives.
 
 Decision protocols (:mod:`depscore.ranking`). For discretization, each
 table is judged by the refinement-increment rule of ``compare_discretizations``,
@@ -61,7 +61,7 @@ from . import measures as meas
 from .measures import MeasureKind
 from .numerics import bisect_root, substream
 from .ranking import first_best, refinement_increment, refinement_margin, selection_margin
-from .tables import CountTable, DofMode, ProbTable, dof_stack, from_counts, make_prob_table
+from .tables import CountTable, DofMode, ProbTable, from_counts, make_prob_table
 
 __all__ = [
     "FIG2_PARTITIONS",
@@ -274,21 +274,19 @@ def run_discretization_experiment(
         raise ValueError("n_values must be distinct: each gets its own curve")
     # one replicate's tables, in draw order: z-major, then n
     cells = [(fig2_distribution(z).probs.ravel(), n) for z in z_grid for n in n_values]
-    ns = np.array([n for _, n in cells], dtype=np.int64)
     favor2 = np.zeros((len(kinds), len(cells)), dtype=np.int64)
     underflow = np.zeros(len(cells), dtype=np.int64)
     margins = [refinement_margin(k, alpha) for k in kinds]
 
     for r in range(replicates):
         gen = substream(master_seed, r)
-        fine = np.array([gen.multinomial(n, p) for p, n in cells]).reshape(-1, 4, 4)
-        coarse = fine.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
-        mi_fine, d_fine = meas.mi_plugin_stack(fine), dof_stack(fine, mode)
-        mi_within, d_within = refinement_increment(
-            mi_fine, d_fine, meas.mi_plugin_stack(coarse), dof_stack(coarse, mode))
-        h_bar = meas.mean_marginal_entropy_stack(fine) if MeasureKind.NI in kinds else None
+        counts = np.array([gen.multinomial(n, p) for p, n in cells]).reshape(-1, 4, 4)
+        coarse = counts.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
+        fine = meas.stack_stats(counts, mode)
+        mi_fine, d_fine, ns, _ = fine
+        within = refinement_increment(fine, meas.stack_stats(coarse, mode))
         for j, k in enumerate(kinds):
-            scores, keys = meas.score(k, mi_within, d_within, ns, h_bar)
+            scores, keys = meas.score(k, *within)
             favors_fine = keys > margins[j]
             if k is MeasureKind.P_VALUE:
                 for i in np.flatnonzero(scores == 0.0):
@@ -336,9 +334,8 @@ def run_feature_selection_experiment(
     for r in range(replicates):
         gen = substream(master_seed, r)
         for i, n in enumerate(n_values):
-            stats2, stats4 = ((meas.mi_plugin_stack(c), dof_stack(c, mode), np.full(len(c), n),
-                               meas.mean_marginal_entropy_stack(c) if MeasureKind.NI in kinds
-                               else None) for c in _sample_nb_stacks(model, n, gen))
+            stats2, stats4 = (meas.stack_stats(c, mode)
+                              for c in _sample_nb_stacks(model, n, gen))
             for j, k in enumerate(kinds):
                 best2, best4 = (first_best(*meas.score(k, *st)) for st in (stats2, stats4))
                 favors_two = not (best4[1] > best2[1] + margins[j])

@@ -31,13 +31,10 @@ when d < 1, since the independence test then has no residual dof, and
 ``normalized_mi`` when both marginal entropies are 0. An undefined value is
 nan, never an error, and an undefined candidate ranks last.
 
-The statistics also come for a stack of G tables of one shape, a (G, a, b)
-integer array: :func:`mi_plugin_stack` and :func:`mean_marginal_entropy_stack`
-(and :func:`depscore.tables.dof_stack`) reject what ``from_counts`` rejects (a
-count that is not an integer or is negative, a total of 0 or of 2**63 or
-more), and return one value per table, equal bit for
-bit to the per-table function on that table alone, which is the unchecked
-stack kernel on a stack of one; :func:`score` takes their arrays.
+A stack of G tables of one shape, a (G, a, b) integer array, gets the
+arguments of :func:`score` from one call, :func:`stack_stats`. It rejects what
+``from_counts`` rejects, and each entry equals, bit for bit, the per-table
+function, which runs the same unchecked kernel on a stack of one.
 """
 
 from __future__ import annotations
@@ -49,19 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import reg_gamma_upper
-from .tables import CountTable, DofMode, _counts, dof, empirical_joint
+from .tables import CountTable, DofMode, _counts, _dof, dof, empirical_joint
 
 __all__ = [
     "MeasureKind",
     "DependenceReport",
     "entropy",
     "mi_plugin",
-    "mi_plugin_stack",
     "r_score",
     "standardized_information",
     "normalized_mi",
     "mean_marginal_entropy",
-    "mean_marginal_entropy_stack",
+    "stack_stats",
     "score",
     "conditional_entropy",
     "p_value",
@@ -135,11 +131,6 @@ def entropy(p) -> float:
     return float(_entropies(v[None])[0])
 
 
-def mi_plugin_stack(c) -> np.ndarray:
-    """Plug-in MI of each table of a (G, a, b) count stack: :func:`mi_plugin`, bit for bit."""
-    return _mi_plugin(_counts(c))
-
-
 def _mi_plugin(c: np.ndarray) -> np.ndarray:
     mask = c > 0
     k = mask.sum(axis=(1, 2))
@@ -160,12 +151,6 @@ def mi_plugin(t: CountTable) -> float:
     return float(_mi_plugin(t.counts[None])[0])
 
 
-def mean_marginal_entropy_stack(c) -> np.ndarray:
-    """(H(A) + H(B)) / 2 of each table of a (G, a, b) count stack, bit for bit as
-    :func:`mean_marginal_entropy`."""
-    return _mean_marginal_entropy(_counts(c))
-
-
 def _mean_marginal_entropy(c: np.ndarray) -> np.ndarray:
     p = c / c.sum(axis=(1, 2))[:, None, None]
     return 0.5 * (_entropies(p.sum(axis=2)) + _entropies(p.sum(axis=1)))
@@ -174,6 +159,15 @@ def _mean_marginal_entropy(c: np.ndarray) -> np.ndarray:
 def mean_marginal_entropy(t: CountTable) -> float:
     """Mean of the two marginal entropies (H(A) + H(B)) / 2, in nats."""
     return float(_mean_marginal_entropy(t.counts[None])[0])
+
+
+def stack_stats(c, mode: DofMode = DofMode.EFFECTIVE) -> tuple:
+    """``(mi, d, n, h_bar)`` of each table of a (G, a, b) count stack, as arrays
+    for :func:`score`: :func:`mi_plugin`, :func:`dof`, the total and
+    :func:`mean_marginal_entropy`, bit for bit, once the rule of ``from_counts``
+    holds for every table (checked once for the stack)."""
+    c = _counts(c)
+    return _mi_plugin(c), _dof(c, mode), c.sum(axis=(1, 2)), _mean_marginal_entropy(c)
 
 
 _NEEDS_DOF = frozenset((MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.SI_FISHER,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measures
 from .measures import MeasureKind
-from .tables import CountTable, DofMode, dof, dof_stack, merge_states
+from .tables import CountTable, DofMode, dof, merge_states
 
 __all__ = [
     "ScoredCandidate",
@@ -111,9 +111,11 @@ def refinement_margin(kind: MeasureKind, alpha: float) -> float:
     return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else selection_margin(kind, alpha)
 
 
-def refinement_increment(mi_fine, d_fine, mi_coarse, d_coarse) -> tuple:
-    """(MI, dof) that finer states add beyond a merging of them; arrays or scalars."""
-    return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse
+def refinement_increment(fine, coarse) -> tuple:
+    """The :func:`measures.score` arguments of what finer states add beyond a merging of
+    them: the MI and dof increments of two ``stack_stats``, with the fine n and h_bar."""
+    (mi_fine, d_fine, n, h_bar), (mi_coarse, d_coarse, _, _) = fine, coarse
+    return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse, n, h_bar
 
 
 def first_best(scores, keys) -> tuple[float, float]:
@@ -146,11 +148,7 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
     Exact ties and degenerate cases (no extra estimable structure) go to
     coarse, the simpler hypothesis.
     """
-    fine = t_fine.counts[None]
-    coarse = merge_states(t_fine, *partitions).counts[None]
-    mi_within, d_within = refinement_increment(
-        measures.mi_plugin_stack(fine), dof_stack(fine, mode),
-        measures.mi_plugin_stack(coarse), dof_stack(coarse, mode))
-    _, keys = measures.score(kind, mi_within, d_within, np.array([t_fine.n]),
-                             measures.mean_marginal_entropy_stack(fine))
+    fine, coarse = (measures.stack_stats(t.counts[None], mode)
+                    for t in (t_fine, merge_states(t_fine, *partitions)))
+    _, keys = measures.score(kind, *refinement_increment(fine, coarse))
     return "fine" if keys[0] > refinement_margin(kind, alpha) else "coarse"

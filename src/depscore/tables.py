@@ -32,7 +32,6 @@ __all__ = [
     "make_prob_table",
     "uniform_prob",
     "dof",
-    "dof_stack",
     "merge_states",
     "sample_table",
 ]
@@ -162,13 +161,6 @@ def make_prob_table(probs) -> ProbTable:
 def uniform_prob(card_a: int, card_b: int) -> ProbTable:
     """Uniform joint distribution on a card_a x card_b grid."""
     return make_prob_table(np.full((card_a, card_b), 1.0 / (card_a * card_b)))
-
-
-def dof_stack(c, mode: DofMode = DofMode.EFFECTIVE) -> np.ndarray:
-    """Degrees of freedom of each table of a (G, a, b) count stack; each table
-    must pass :func:`from_counts`' rule (integer counts, none negative, a
-    total above 0 and below 2**63)."""
-    return _dof(_counts(c), mode)
 
 
 def _dof(c: np.ndarray, mode: DofMode) -> np.ndarray:

@@ -128,6 +128,50 @@ def test_dataset_row_with_hash_first_label_is_a_comment(tmp_path):
     assert [c.tolist() for c in ds.columns] == [[0, 1, 0], [0, 1, 0]]
 
 
+@pytest.mark.parametrize("header, repeated, argv", [
+    pytest.param("x,x,y", "x", ["rank", "--class-column", "y"], id="rank"),
+    pytest.param("y,a,b,a", "a", ["rank", "--class-column", "y"], id="rank-later-column"),
+    pytest.param("x,x,y", "x", ["measure", "--pair", "x", "y"], id="measure-pair"),
+    pytest.param("x,x", "x", ["measure"], id="measure-two-columns"),
+])
+def test_repeated_column_name_exits_1_naming_it(tmp_path, capsys, header, repeated, argv):
+    # the second column of a repeated name was never read: rank scored the first twice
+    f = tmp_path / "d.csv"
+    width = header.count(",") + 1
+    f.write_text(header + "\n" + "".join(",".join(str((i + j) % 2) for j in range(width)) + "\n"
+                                         for i in range(6)))
+    code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    assert code == 1 and out == ""
+    assert f"column name {repeated!r} is repeated" in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    pytest.param("200 100\n100 200\n", ["measure", "--input"], id="measure-counts"),
+    pytest.param("200 100\n100 200\n", ["measure", "--format", "counts", "--input"],
+                 id="measure-format"),
+    pytest.param("200 100\n100 200\n", ["ess", "--input"], id="ess"),
+    pytest.param("1 2\n2 1\n", ["ess", "--input", "{table}", "--prior"], id="ess-prior"),
+    pytest.param("g,y\na,0\nb,1\na,1\nb,1\na,0\n", ["measure", "--pair", "g", "y", "--input"],
+                 id="measure-dataset"),
+    pytest.param("g,h,y\na,u,0\nb,u,1\na,v,1\nb,v,1\na,u,0\n",
+                 ["rank", "--class-column", "y", "--input"], id="rank-dataset"),
+])
+def test_byte_order_mark_changes_no_output(tmp_path, capsys, text, argv):
+    # with a BOM, a count table failed the integer sniff and read as a one-sample
+    # dataset, and a dataset's first column was named '\ufeffg'
+    table = tmp_path / "table.txt"
+    table.write_text("200 100\n100 200\n")
+    outs = []
+    for name, data in (("plain", text), ("bom", "\ufeff" + text)):
+        f = tmp_path / name
+        f.write_text(data, encoding="utf-8")
+        code, out, err = run_cli(capsys, *[a.format(table=table) for a in argv], str(f))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "\ufeff" not in outs[1]
+
+
 @pytest.mark.parametrize("name, text, argv", [
     pytest.param("bad.counts", "1 2 3\n4 5\n", ["measure", "--format", "counts"],
                  id="measure-counts"),

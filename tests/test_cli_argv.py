@@ -2,10 +2,11 @@
 
 Each command gets flags drawn from valid values and from bad ones (nan, inf,
 negative numbers, integers of 2**63 and more, non-numbers) and input files
-that are well formed, ragged, non-integer, all zero, out of int64 range or not
-UTF-8. Whatever the draw, ``main`` returns 0, 1 or 3 or exits 2 through
-argparse, lets no other exception escape, and prints nothing to stdout unless
-the exit code is 0. Sample sizes and replicates stay small, so every run is
+that are well formed, ragged, non-integer, all zero, out of int64 range, not
+UTF-8, led by a UTF-8 byte-order mark, or with a column name given twice.
+Whatever the draw, ``main`` returns 0, 1 or 3 or exits 2 through argparse,
+lets no other exception escape, and prints nothing to stdout unless the exit
+code is 0. Sample sizes and replicates stay small, so every run is
 quick: at most 2 replicates, and fig3 n of at most 64 unless it is above
 ``FIG3_MAX_N`` (and so rejected before any sampling).
 """
@@ -45,6 +46,9 @@ FILES = {
     "empty": b"",
     "comments_only": b"# nothing\n\n",
     "latin1": b"y,a\n\xe9t\xe9,1\nhiver,2\n",
+    "bom_counts": b"\xef\xbb\xbf200 100\n100 200\n",
+    "bom_dataset": b"\xef\xbb\xbfy,a\n0,x\n1,y\n1,x\n",
+    "repeated_header": b"y,a,a\n0,x,p\n1,y,q\n1,x,q\n",
 }
 ARGV_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

@@ -1,7 +1,7 @@
-"""The stack kernels against the per-table functions, bit for bit.
+"""``stack_stats`` against the per-table functions, bit for bit.
 
-``mi_plugin_stack``, ``mean_marginal_entropy_stack``, ``dof_stack`` and the
-array form of ``score`` score many tables of one shape at once. Every value must equal (``==``, not approximately) the
+``stack_stats`` and the array form of ``score`` score many tables of one
+shape at once. Every value must equal (``==``, not approximately) the
 per-table function on that table alone, and the per-table functions must
 equal the plain one-table formulas written out below.
 """
@@ -11,17 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import depscore
 from depscore import (
     DofMode,
     MeasureKind,
     dof,
-    dof_stack,
     from_counts,
     mean_marginal_entropy,
-    mean_marginal_entropy_stack,
     mi_plugin,
-    mi_plugin_stack,
     score,
+    stack_stats,
 )
 from depscore import measures, tables
 
@@ -92,15 +91,16 @@ def test_stacks_cover_the_edge_cases():
 @pytest.mark.parametrize("i", range(len(STACKS)))
 def test_statistics_equal_per_table(i):
     stack = STACKS[i]
-    mi, h_bar = mi_plugin_stack(stack), mean_marginal_entropy_stack(stack)
-    for g, c in enumerate(stack):
-        t = from_counts(c)
-        assert mi[g] == mi_plugin(t) == reference_mi(c)
-        assert h_bar[g] == mean_marginal_entropy(t) == reference_h_bar(c)
     for mode in DofMode:
-        d = dof_stack(stack, mode)
+        mi, d, n, h_bar = stack_stats(stack, mode)
+        for g, c in enumerate(stack):
+            t = from_counts(c)
+            assert mi[g] == mi_plugin(t) == reference_mi(c)
+            assert h_bar[g] == mean_marginal_entropy(t) == reference_h_bar(c)
+            assert n[g] == t.n
         assert d.tolist() == [dof(from_counts(c), mode) for c in stack] \
             == [reference_dof(c, mode) for c in stack]
+        assert d.dtype == n.dtype == np.int64
 
 
 @pytest.mark.parametrize("i", range(0, len(STACKS), 3))
@@ -108,10 +108,10 @@ def test_scores_equal_per_table(i):
     # every measure, the p-value included, over the arrays of a stack: a
     # defined entry is its one-table score, an undefined one is (nan, -inf)
     stack = STACKS[i]
-    n = stack.sum(axis=(1, 2))
-    mi, d, h_bar = mi_plugin_stack(stack), dof_stack(stack), mean_marginal_entropy_stack(stack)
+    stats = stack_stats(stack)
+    _, d, _, h_bar = stats
     for kind in MeasureKind:
-        scores, keys = score(kind, mi, d, n, h_bar)
+        scores, keys = score(kind, *stats)
         defined = np.ones(len(stack), dtype=bool) if kind is MeasureKind.MI_PLUGIN \
             else h_bar > 0.0 if kind is MeasureKind.NI else d >= 1
         for g, c in enumerate(stack):
@@ -135,7 +135,7 @@ def test_zero_padding_would_change_the_sums():
     terms = np.zeros(sparse.shape)
     terms[mask] = sparse[mask] / n * np.log(sparse[mask] * n / outer[mask])
     assert terms.sum() != reference_mi(sparse)
-    assert mi_plugin_stack(stack).tolist() == [reference_mi(c) for c in stack]
+    assert stack_stats(stack)[0].tolist() == [reference_mi(c) for c in stack]
 
     # the same holds for the entropy of a marginal with 8 or more states
     wide = np.array([[6, 2, 1, 8, 5, 8, 3, 0, 1], [2, 6, 6, 6, 4, 1, 5, 0, 6]]).T
@@ -144,19 +144,19 @@ def test_zero_padding_would_change_the_sums():
     plogp = np.zeros(p.shape)
     plogp[p > 0] = p[p > 0] * np.log(p[p > 0])
     assert -plogp.sum() != reference_entropy(p)
-    assert mean_marginal_entropy_stack(stack).tolist() == [reference_h_bar(c) for c in stack]
+    assert stack_stats(stack)[3].tolist() == [reference_h_bar(c) for c in stack]
 
 
 def test_stack_of_one_is_the_per_table_path():
     c = np.array([[30, 12, 5], [10, 28, 9]])
     t = from_counts(c)
-    assert mi_plugin_stack(c[None])[0] == mi_plugin(t)
-    assert mean_marginal_entropy_stack(c[None])[0] == mean_marginal_entropy(t)
-    assert dof_stack(c[None], DofMode.NOMINAL)[0] == dof(t, DofMode.NOMINAL) == 2
+    mi, d, n, h_bar = stack_stats(c[None], DofMode.NOMINAL)
+    assert (mi[0], d[0], n[0], h_bar[0]) \
+        == (mi_plugin(t), dof(t, DofMode.NOMINAL), t.n, mean_marginal_entropy(t))
+    assert d[0] == 2
 
 
-@pytest.mark.parametrize("kernel", [mi_plugin_stack, mean_marginal_entropy_stack, dof_stack,
-                                    lambda c: dof_stack(c, DofMode.NOMINAL)])
+@pytest.mark.parametrize("mode", list(DofMode))
 @pytest.mark.parametrize("stack, message", [
     ([[[0, 0], [0, 0]], [[1, 2], [3, 4]]], "all zero"),
     ([[[1, 2], [3, 4]], [[0, 0], [0, 0]]], "all zero"),
@@ -167,22 +167,40 @@ def test_stack_of_one_is_the_per_table_path():
     (np.array([[[2**63, 0], [0, 1]]], dtype=np.uint64), "total is not below 2\\*\\*63"),
     ([[[1, 2], [3, 4]], [[2**62, 2**62], [2**62, 1]]], "total is not below 2\\*\\*63"),
 ])
-def test_stack_kernels_apply_the_from_counts_rule(kernel, stack, message):
+def test_stack_stats_applies_the_from_counts_rule(mode, stack, message):
     with pytest.raises(ValueError, match=message):
-        kernel(stack)
+        stack_stats(stack, mode)
     if len(stack) == 1:
         with pytest.raises(ValueError, match=message):
             from_counts(stack[0])
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, float, object])
-def test_stack_kernels_take_integer_counts_of_any_dtype(dtype):
+def test_stack_stats_takes_integer_counts_of_any_dtype(dtype):
     stack = STACKS[0]
-    assert mi_plugin_stack(stack.astype(dtype)).tolist() == mi_plugin_stack(stack).tolist()
-    assert mean_marginal_entropy_stack(stack.astype(dtype)).tolist() \
-        == mean_marginal_entropy_stack(stack).tolist()
     for mode in DofMode:
-        assert dof_stack(stack.astype(dtype), mode).tolist() == dof_stack(stack, mode).tolist()
+        assert [s.tolist() for s in stack_stats(stack.astype(dtype), mode)] \
+            == [s.tolist() for s in stack_stats(stack, mode)]
+
+
+def test_stack_stats_checks_the_stack_once(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return tables._counts(c)
+
+    monkeypatch.setattr(measures, "_counts", counting)
+    stack_stats(STACKS[0])
+    assert len(calls) == 1
+
+
+def test_stack_stats_is_the_only_stack_call():
+    for module in (depscore, measures, tables):
+        for name in ("mi_plugin_stack", "mean_marginal_entropy_stack", "dof_stack"):
+            assert not hasattr(module, name)
+            assert name not in getattr(module, "__all__", ())
+    assert "stack_stats" in depscore.measures.__all__ and depscore.stack_stats is stack_stats
 
 
 def test_per_table_functions_do_not_check_a_count_table_again(monkeypatch):
@@ -194,4 +212,4 @@ def test_per_table_functions_do_not_check_a_count_table_again(monkeypatch):
     assert mean_marginal_entropy(t) == reference_h_bar(t.counts)
     assert dof(t) == reference_dof(t.counts, DofMode.EFFECTIVE)
     with pytest.raises(TypeError):
-        mi_plugin_stack(t.counts[None])
+        stack_stats(t.counts[None])
