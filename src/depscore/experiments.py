@@ -22,12 +22,12 @@ Naive Bayes model (feature selection study)
     with the class near z ~ 0.088; the study tracks how often each measure
     prefers a binary feature as the sample grows.
 
-Stacks. One replicate's tables are sampled into (G, a, b) count stacks, and
-no stack spans two replicates: discretization draws one (len(z_grid) *
-len(n_values), 4, 4) stack, z-major; feature selection a (10, 2, 4) and a
-(10, 4, 4) stack per sample size. ``measures.stack_stats`` equals the
-per-table functions bit for bit, so each curve is the one a table-by-table
-run gives.
+Blocks. Replicates are drawn one by one and scored a block at a time, of
+about ``_BLOCK_TABLES`` count tables: discretization one (G, 4, 4) stack,
+replicate-major, then z, then n; feature selection a binary (G, 2, 4) and a
+four-state (G, 4, 4) stack, ten tables per (replicate, n).
+``measures.stack_stats`` equals the per-table functions bit for bit, so each
+curve is the one a table-by-table run gives.
 
 Decision protocols (:mod:`depscore.ranking`). For discretization, each
 table is judged by the refinement-increment rule of ``compare_discretizations``,
@@ -90,6 +90,9 @@ P_BINARY_GIVEN_CLASS = (0.6, 0.8, 0.3, 0.1)
 N_CLASSES = 4
 N_BINARY_FEATURES = 10
 N_FOUR_STATE_FEATURES = 10
+
+# Tables per block of whole replicates: memory stays flat as replicates grow.
+_BLOCK_TABLES = 4096
 
 # Largest feature-selection sample size: a draw peaks near 138 bytes per sample
 # (tracemalloc at n = 1e5 and 1e6), about 0.6 GB at this n.
@@ -234,6 +237,13 @@ def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]
     return replicates, kinds, n_values
 
 
+def _blocks(replicates: int, tables: int) -> list[range]:
+    """Consecutive runs of whole replicates, of at most ``_BLOCK_TABLES`` tables
+    each unless one replicate has more; none when a replicate has no tables."""
+    step = max(1, _BLOCK_TABLES // max(tables, 1))
+    return [range(r, min(r + step, replicates)) for r in range(0, replicates * (tables > 0), step)]
+
+
 def _curve(x_label: str, x_values, kinds, counts, underflow, replicates: int, master_seed: int,
            alpha: float, mode: DofMode, **config) -> ExperimentCurve:
     """The curve of favor-2 counts ``counts[j][i]`` of ``kinds[j]`` at ``x_values[i]``."""
@@ -261,8 +271,8 @@ def run_discretization_experiment(
     """Fractions favoring 2 states over 4 on the block family, per (n, z).
 
     For each replicate, one table per (z, n) is sampled from
-    :func:`fig2_distribution` into one (len(z_grid) * len(n_values), 4, 4)
-    stack, and each table is judged by the refinement rule of
+    :func:`fig2_distribution` with one ``multinomial`` call, and each table of
+    a block of replicates is judged by the refinement rule of
     ``compare_discretizations`` under each measure. Returns one curve per n
     with z on the x axis.
     """
@@ -273,27 +283,27 @@ def run_discretization_experiment(
     if len(set(n_values)) < len(n_values):
         raise ValueError("n_values must be distinct: each gets its own curve")
     # one replicate's tables, in draw order: z-major, then n
-    cells = [(fig2_distribution(z).probs.ravel(), n) for z in z_grid for n in n_values]
-    favor2 = np.zeros((len(kinds), len(cells)), dtype=np.int64)
-    underflow = np.zeros(len(cells), dtype=np.int64)
+    pvals = np.array([fig2_distribution(z).probs.ravel() for z in z_grid for _ in n_values])
+    ns = np.tile(np.array(n_values, dtype=np.int64), len(z_grid))
+    favor2 = np.zeros((len(kinds), len(ns)), dtype=np.int64)
+    underflow = np.zeros(len(ns), dtype=np.int64)
     margins = [refinement_margin(k, alpha) for k in kinds]
 
-    for r in range(replicates):
-        gen = substream(master_seed, r)
-        counts = np.array([gen.multinomial(n, p) for p, n in cells]).reshape(-1, 4, 4)
+    for block in _blocks(replicates, len(ns)):
+        counts = np.concatenate([substream(master_seed, r).multinomial(ns, pvals)
+                                 for r in block]).reshape(-1, 4, 4)
         coarse = counts.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
         fine = meas.stack_stats(counts, mode)
-        mi_fine, d_fine, ns, _ = fine
         within = refinement_increment(fine, meas.stack_stats(coarse, mode))
         for j, k in enumerate(kinds):
             scores, keys = meas.score(k, *within)
             favors_fine = keys > margins[j]
             if k is MeasureKind.P_VALUE:
-                for i in np.flatnonzero(scores == 0.0):
-                    if meas.score(k, float(mi_fine[i]), int(d_fine[i]), int(ns[i]))[0] == 0.0:
-                        underflow[i] += 1
-                        favors_fine[i] = False  # deliberately wrong, to expose the failure
-            favor2[j] += ~favors_fine
+                dead = scores == 0.0  # naive p-value 0 for the increment and the fine table
+                dead[dead] = meas.score(k, *(v[dead] for v in fine[:3]))[0] == 0.0
+                favors_fine &= ~dead  # deliberately wrong, to expose the failure
+                underflow += dead.reshape(len(block), -1).sum(axis=0)
+            favor2[j] += (~favors_fine).reshape(len(block), -1).sum(axis=0)
 
     favor2 = favor2.reshape(len(kinds), len(z_grid), len(n_values))
     underflow = underflow.reshape(len(z_grid), len(n_values))
@@ -314,10 +324,11 @@ def run_feature_selection_experiment(
     """Fraction of replicates where each measure prefers a binary feature.
 
     Per replicate and sample size, a dataset is drawn from the naive Bayes
-    model as a (10, 2, 4) binary and a (10, 4, 4) four-state stack, the best
-    binary and best four-state candidate are found on the measure's key, and
-    the four-state winner is taken only when it beats the binary winner by
-    the measure's significance margin. No n may exceed :data:`FIG3_MAX_N`.
+    model as a (10, 2, 4) binary and a (10, 4, 4) four-state stack. Over a
+    block of replicates, each dataset's best binary and best four-state
+    candidate are found on the measure's key, and the four-state winner is
+    taken only when it beats the binary winner by the measure's
+    significance margin. No n may exceed :data:`FIG3_MAX_N`.
     """
     model = NaiveBayesModel(float(z))
     replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
@@ -328,23 +339,26 @@ def run_feature_selection_experiment(
     # plotted choice is the arity the true model does NOT favor at this z
     four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")
     favor2 = np.zeros((len(kinds), len(n_values)), dtype=np.int64)
-    underflow = [0] * len(n_values)
+    underflow = np.zeros(len(n_values), dtype=np.int64)
     margins = [selection_margin(k, alpha) for k in kinds]
 
-    for r in range(replicates):
-        gen = substream(master_seed, r)
-        for i, n in enumerate(n_values):
-            stats2, stats4 = (meas.stack_stats(c, mode)
-                              for c in _sample_nb_stacks(model, n, gen))
-            for j, k in enumerate(kinds):
-                best2, best4 = (first_best(*meas.score(k, *st)) for st in (stats2, stats4))
-                favors_two = not (best4[1] > best2[1] + margins[j])
-                if k is MeasureKind.P_VALUE and best2[0] == 0.0 and best4[0] == 0.0:
-                    underflow[i] += 1
-                    favors_two = four_truly_better  # deliberately wrong
-                favor2[j, i] += favors_two
+    for block in _blocks(replicates, (N_BINARY_FEATURES + N_FOUR_STATE_FEATURES) * len(n_values)):
+        # groups of ten candidates per arity, replicate-major, then n
+        draws = [_sample_nb_stacks(model, n, gen)
+                 for gen in (substream(master_seed, r) for r in block) for n in n_values]
+        stats2, stats4 = (meas.stack_stats(np.concatenate(c), mode) for c in zip(*draws))
+        for j, k in enumerate(kinds):
+            (s2, k2), (s4, k4) = (first_best(*(v.reshape(len(draws), -1)
+                                               for v in meas.score(k, *st)))
+                                  for st in (stats2, stats4))
+            favors_two = ~(k4 > k2 + margins[j])
+            if k is MeasureKind.P_VALUE:
+                dead = (s2 == 0.0) & (s4 == 0.0)
+                favors_two = np.where(dead, four_truly_better, favors_two)  # deliberately wrong
+                underflow += dead.reshape(len(block), -1).sum(axis=0)
+            favor2[j] += favors_two.reshape(len(block), -1).sum(axis=0)
 
-    return _curve("n", (float(n) for n in n_values), kinds, favor2.tolist(), underflow,
+    return _curve("n", (float(n) for n in n_values), kinds, favor2.tolist(), underflow.tolist(),
                   replicates, master_seed, alpha, mode, experiment="feature_selection",
                   z=repr(float(z)))
 

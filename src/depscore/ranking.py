@@ -118,10 +118,11 @@ def refinement_increment(fine, coarse) -> tuple:
     return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse, n, h_bar
 
 
-def first_best(scores, keys) -> tuple[float, float]:
-    """(score, key) of the first candidate with the highest key."""
-    i = int(np.argmax(keys))
-    return float(scores[i]), float(keys[i])
+def first_best(scores, keys) -> tuple[np.ndarray, np.ndarray]:
+    """(score, key) of the first candidate with the highest key in each row of
+    ``(groups, candidates)`` arrays, as two arrays of one entry per group."""
+    i = np.argmax(keys, axis=1)[:, None]
+    return np.take_along_axis(scores, i, 1)[:, 0], np.take_along_axis(keys, i, 1)[:, 0]
 
 
 def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,

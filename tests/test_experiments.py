@@ -20,8 +20,11 @@ from depscore import (
     sample_nb_dataset,
     substream,
 )
-from depscore.experiments import FIG2_PARTITIONS
-from depscore.tables import merge_states
+from depscore import experiments
+from depscore.experiments import FIG2_PARTITIONS, _sample_nb_stacks
+from depscore.measures import score, stack_stats
+from depscore.ranking import refinement_increment, refinement_margin, selection_margin
+from depscore.tables import DofMode, merge_states
 
 
 def prob_mi_oracle(p: np.ndarray) -> float:
@@ -195,6 +198,151 @@ def test_feature_selection_z_max_prefers_four_state():
         z=0.25, n_values=(256,), replicates=10, master_seed=11,
         measure_kinds=(MeasureKind.SI,))
     assert curve.fractions["si"][0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocks of replicates
+# ---------------------------------------------------------------------------
+
+ALL_MEASURES = tuple(MeasureKind)
+
+
+def _reference_fig2(z_grid, n_values, replicates, seed, mode, alpha=0.05):
+    """Replicate by replicate and table by table: favor-2 counts per (measure,
+    z, n), underflow counts per (z, n), and which replicates underflowed."""
+    favor2 = np.zeros((len(ALL_MEASURES), len(z_grid), len(n_values)), dtype=int)
+    underflow = np.zeros((len(z_grid), len(n_values)), dtype=int)
+    dead_replicates = []
+    for r in range(replicates):
+        gen = substream(seed, r)
+        counts = np.array([gen.multinomial(n, fig2_distribution(z).probs.ravel())
+                           for z in z_grid for n in n_values]).reshape(-1, 4, 4)
+        coarse = np.array([merge_states(from_counts(c), *FIG2_PARTITIONS).counts
+                           for c in counts])
+        fine = stack_stats(counts, mode)
+        within = refinement_increment(fine, stack_stats(coarse, mode))
+        dead = np.zeros(len(counts), dtype=bool)
+        for j, k in enumerate(ALL_MEASURES):
+            scores, keys = score(k, *within)
+            favors_fine = keys > refinement_margin(k, alpha)
+            if k is MeasureKind.P_VALUE:
+                dead = (scores == 0.0) & (score(k, *fine)[0] == 0.0)
+                favors_fine &= ~dead
+            favor2[j] += (~favors_fine).reshape(len(z_grid), len(n_values))
+        underflow += dead.reshape(len(z_grid), len(n_values))
+        dead_replicates.append(bool(dead.any()))
+    return favor2, underflow, dead_replicates
+
+
+def _reference_fig3(z, n_values, replicates, seed, mode, alpha=0.05):
+    """The same for feature selection, counts per (measure, n) and n."""
+    model = NaiveBayesModel(z)
+    four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")
+    favor2 = np.zeros((len(ALL_MEASURES), len(n_values)), dtype=int)
+    underflow = np.zeros(len(n_values), dtype=int)
+    dead_replicates = []
+    for r in range(replicates):
+        gen = substream(seed, r)
+        any_dead = False
+        for i, n in enumerate(n_values):
+            stats = [stack_stats(c, mode) for c in _sample_nb_stacks(model, n, gen)]
+            for j, k in enumerate(ALL_MEASURES):
+                (s2, k2), (s4, k4) = ((s[np.argmax(keys)], keys[np.argmax(keys)])
+                                      for s, keys in (score(k, *st) for st in stats))
+                favors_two = not (k4 > k2 + selection_margin(k, alpha))
+                if k is MeasureKind.P_VALUE and s2 == 0.0 and s4 == 0.0:
+                    underflow[i] += 1
+                    any_dead = True
+                    favors_two = four_truly_better
+                favor2[j, i] += favors_two
+        dead_replicates.append(any_dead)
+    return favor2, underflow, dead_replicates
+
+
+def _assert_curve(curve, favor2, underflow, replicates):
+    for j, k in enumerate(ALL_MEASURES):
+        assert curve.fractions[k.value] == tuple(c / replicates for c in favor2[j])
+    assert curve.p_underflow == tuple(underflow)
+
+
+# Blocks of B = 3 replicates on small grids: fig2 6 tables a replicate, fig3
+# 40. The naive p-value underflows at z 0.08 and n 500 in fig2, at n 512 in fig3.
+SEAM_BLOCK = 3
+SEAM_FIG2 = ((0.0, 0.06, 0.08), (25, 500))
+SEAM_FIG3 = (0.1, (32, 512))
+
+
+@pytest.mark.parametrize("mode", [DofMode.NOMINAL, DofMode.EFFECTIVE])
+@pytest.mark.parametrize("replicates", [1, SEAM_BLOCK - 1, SEAM_BLOCK, SEAM_BLOCK + 1,
+                                        2 * SEAM_BLOCK + 1])
+@pytest.mark.parametrize("study", ["fig2", "fig3"])
+def test_block_seams_change_nothing(monkeypatch, study, replicates, mode):
+    """Scoring whole blocks of replicates equals scoring replicate by replicate,
+    at replicate counts around the block size, underflow column included."""
+    if study == "fig2":
+        z_grid, n_values = SEAM_FIG2
+        monkeypatch.setattr(experiments, "_BLOCK_TABLES", SEAM_BLOCK * 6)
+        curves = run_discretization_experiment(z_grid, n_values, replicates, ALL_MEASURES,
+                                               master_seed=8, mode=mode)
+        favor2, underflow, dead = _reference_fig2(z_grid, n_values, replicates, 8, mode)
+        for i, n in enumerate(n_values):
+            _assert_curve(curves[n], favor2[:, :, i], underflow[:, i], replicates)
+    else:
+        z, n_values = SEAM_FIG3
+        monkeypatch.setattr(experiments, "_BLOCK_TABLES", SEAM_BLOCK * 40)
+        curve = run_feature_selection_experiment(z, n_values, replicates, ALL_MEASURES,
+                                                 master_seed=8, mode=mode)
+        favor2, underflow, dead = _reference_fig3(z, n_values, replicates, 8, mode)
+        _assert_curve(curve, favor2, underflow, replicates)
+    assert len(experiments._blocks(replicates, 6 if study == "fig2" else 40)) == \
+        -(-replicates // SEAM_BLOCK)
+    if replicates > SEAM_BLOCK:
+        # the naive p-value underflows in replicates on both sides of a seam
+        assert any(dead[:SEAM_BLOCK]) and any(dead[SEAM_BLOCK:])
+
+
+DEFAULT_HEADER = "mi_bc\tsi\tni\tp_value\tp_underflow"
+
+
+@pytest.mark.parametrize("run, header, rows", [
+    (lambda: run_discretization_experiment(z_grid=(), replicates=3)[25],
+     f"z\t{DEFAULT_HEADER}", []),
+    (lambda: run_feature_selection_experiment(n_values=(), replicates=3),
+     f"n\t{DEFAULT_HEADER}", []),
+    (lambda: run_discretization_experiment((0.0,), (25,), 3, measure_kinds=())[25], "z", ["0"]),
+    (lambda: run_feature_selection_experiment(n_values=(32,), replicates=3, measure_kinds=()),
+     "n", ["32"]),
+])
+def test_empty_grids_and_measures(run, header, rows):
+    """An empty grid gives a header-only curve, no measures a curve of x values only."""
+    lines = [ln for ln in format_curve(run()).splitlines() if not ln.startswith("#")]
+    assert lines == [header, *rows]
+
+
+def test_empty_n_values_give_no_fig2_curves():
+    assert run_discretization_experiment(n_values=(), replicates=3) == {}
+    assert set(run_discretization_experiment(z_grid=(), n_values=(25, 100))) == {25, 100}
+
+
+def test_each_block_scored_once(monkeypatch):
+    """Two ``stack_stats`` calls per block of replicates: the fine and coarse
+    stacks of fig2, the binary and four-state stacks of fig3."""
+    calls = []
+
+    def counting(c, mode):
+        calls.append(len(c))
+        return stack_stats(c, mode)
+
+    monkeypatch.setattr(experiments.meas, "stack_stats", counting)
+    for run, replicates, blocks in ((run_discretization_experiment, 10, 1),
+                                    (run_feature_selection_experiment, 4, 1),
+                                    (run_feature_selection_experiment, 100, 5)):
+        calls.clear()
+        run(replicates=replicates)
+        assert len(calls) == 2 * blocks
+    # the default fig3 grid takes 200 tables a replicate, in blocks of 20 replicates
+    assert calls == [20 * 10 * 10] * 10
+    assert len(experiments._blocks(100, 200)) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from depscore import (
     standardized_information,
     substream,
 )
-from depscore.ranking import NI_REFINEMENT_SHARE
+from depscore.ranking import NI_REFINEMENT_SHARE, first_best
 from conftest import random_count_table
 
 BLOCK_PARTS = (((0, 1), (2, 3)), ((0, 1), (2, 3)))
@@ -137,6 +137,15 @@ def test_rank_breaks_ties_by_dof_then_id():
 
 def test_rank_empty():
     assert rank([]).candidates == ()
+
+
+def test_first_best_takes_the_first_highest_key_of_each_row():
+    scores = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [np.nan, 0.7, np.nan]])
+    keys = np.array([[1.0, 3.0, 3.0], [-np.inf, -np.inf, -np.inf], [-np.inf, 2.0, -np.inf]])
+    best_scores, best_keys = first_best(scores, keys)
+    assert best_scores.tolist() == [0.2, 0.4, 0.7]
+    assert best_keys.tolist() == [3.0, -np.inf, 2.0]
+    assert [a.shape for a in first_best(scores[:0], keys[:0])] == [(0,), (0,)]
 
 
 def test_rank_invariant_under_monotone_transform():
