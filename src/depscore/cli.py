@@ -34,8 +34,9 @@ relevant): output contains no timestamps or environment state. Exit codes:
 0 success; 2 usage errors, found before any output: an empty, malformed or
 unknown entry in `--n-values`, `--z-grid` or `--measures`, a `--curve` not
 finite and >= 0, a `--curve-points` outside 1..MAX_CURVE_POINTS, an `ess`
-`--curve-points` or `--out` without `--curve`, or an `--alpha` that is not a
-number strictly between 0 and 1;
+`--curve-points` or `--out` without `--curve`, a `fig2 --z` or `fig3 --z-grid`
+(the other study's flag), or an `--alpha` that is not a number strictly
+between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
 a fig3 n above `experiments.FIG3_MAX_N`, a study n or a count total of 2**63
 or more, and a dataset header that names a column twice. Nothing is printed
@@ -315,6 +316,9 @@ def _with_suffix(path: Path, tag: str) -> Path:
 
 
 def _cmd_experiment(args) -> int:
+    flag, value = ("--z-grid", args.z_grid) if args.name == "fig3" else ("--z", args.z)
+    if value is not None:
+        args.usage_error(f"argument {flag}: not allowed with {args.name}")
     study = dict(replicates=args.replicates, master_seed=args.seed, alpha=args.alpha,
                  mode=DofMode(args.dof))
     if args.n_values is not None:
@@ -322,7 +326,9 @@ def _cmd_experiment(args) -> int:
     if args.measures is not None:
         study["measure_kinds"] = args.measures
     if args.name == "fig3":
-        curve = run_feature_selection_experiment(z=args.z, **study)
+        if args.z is not None:
+            study["z"] = args.z
+        curve = run_feature_selection_experiment(**study)
         text = format_curve(curve)
         Path(args.out).write_text(text, encoding="utf-8")
         tail = {m: curve.fractions[m][-1] for m in curve.measure_names}
@@ -400,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["fig2", "fig3"])
     p.add_argument("--out", required=True)
     p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--z", type=float, default=0.10, help="dependence parameter (fig3)")
+    p.add_argument("--z", type=float, help="dependence parameter (fig3 only; default: 0.1)")
     p.add_argument("--z-grid", type=_list_of(float, "float values"), default=None,
-                   help="comma-separated z values (fig2)")
+                   help="comma-separated z values (fig2 only)")
     p.add_argument("--n-values", type=_list_of(int, "int values"), default=None,
                    help="comma-separated sample sizes")
     names = ", ".join(k.value for k in MeasureKind)
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=alpha, default=0.05)
     # the study decision rules are calibrated on nominal dof
     common(p, seed=True, dof_default="nominal")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, usage_error=p.error)
     return parser
 
 

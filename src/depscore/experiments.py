@@ -64,7 +64,6 @@ from .ranking import first_best, refinement_increment, refinement_margin, select
 from .tables import CountTable, DofMode, ProbTable, from_counts, make_prob_table
 
 __all__ = [
-    "FIG2_PARTITIONS",
     "fig2_distribution",
     "NaiveBayesModel",
     "nb_true_mi",
@@ -74,8 +73,6 @@ __all__ = [
     "run_discretization_experiment",
     "run_feature_selection_experiment",
     "format_curve",
-    "DEFAULT_MEASURES",
-    "FIG3_MAX_N",
 ]
 
 DEFAULT_MEASURES = (MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.NI, MeasureKind.P_VALUE)

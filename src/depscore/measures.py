@@ -33,8 +33,8 @@ nan, never an error, and an undefined candidate ranks last.
 
 A stack of G tables of one shape, a (G, a, b) integer array, gets the
 arguments of :func:`score` from one call, :func:`stack_stats`. It rejects what
-``from_counts`` rejects, and each entry equals, bit for bit, the per-table
-function, which runs the same unchecked kernel on a stack of one.
+``from_counts`` rejects, shape included, and each entry equals, bit for bit,
+the per-table function, which runs the same unchecked kernel on a stack of one.
 """
 
 from __future__ import annotations
@@ -177,11 +177,11 @@ _NEEDS_DOF = frozenset((MeasureKind.MI_BC, MeasureKind.SI, MeasureKind.SI_FISHER
 def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
     """One measure from a table's statistics, as ``(score, key)``.
 
-    ``mi`` is the plug-in MI, ``d`` the dof, ``n`` the sample size and
-    ``h_bar`` the mean marginal entropy, which only ``ni`` reads. The key
-    orders candidates, higher meaning more dependent: it is the score
-    itself, except that the p-value is keyed on ``-log p``, which stays
-    finite and ordered after the naive value rounds to 0.
+    ``mi`` is the plug-in MI, ``d`` the dof, ``n`` the sample size and ``h_bar``
+    the mean marginal entropy, which only ``ni`` reads (a ``ValueError`` when
+    missing). The key orders candidates, higher meaning more dependent: it is
+    the score itself, except that the p-value is keyed on ``-log p``, which
+    stays finite and ordered after the naive value rounds to 0.
 
     This is the one place that decides whether a measure is defined:
     ``mi_bc``, ``si``, ``si_fisher`` and ``p_value`` are undefined when
@@ -193,6 +193,8 @@ def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
     """
     if kind is MeasureKind.MI_PLUGIN:
         return mi, mi
+    if kind is MeasureKind.NI and h_bar is None:
+        raise ValueError("ni needs h_bar, the mean marginal entropy")
     ok = d >= 1 if kind in _NEEDS_DOF else h_bar > 0.0
     if type(ok) is not np.ndarray:
         return _formula(kind, mi, d, n, h_bar) if ok else (math.nan, -math.inf)

@@ -28,13 +28,7 @@ __all__ = [
     "si_threshold",
     "is_notable",
     "compare_discretizations",
-    "selection_margin",
-    "refinement_margin",
-    "refinement_increment",
-    "first_best",
 ]
-
-TIE_POLICY = "key descending; ties: smaller dof first, then lexicographic id"
 
 # A refinement must claim at least this share of the mean marginal entropy
 # before the normalized-MI rule accepts the finer discretization. The share
@@ -56,10 +50,9 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Candidates in non-increasing key order, with the tie policy recorded."""
+    """Candidates in non-increasing key order, ties broken as the module docstring says."""
 
     candidates: tuple[ScoredCandidate, ...]
-    tie_policy: str = TIE_POLICY
 
 
 def score_candidates(tables, kind: MeasureKind,

@@ -80,14 +80,6 @@ class ProbTable:
 
     probs: np.ndarray
 
-    @property
-    def card_a(self) -> int:
-        return int(self.probs.shape[0])
-
-    @property
-    def card_b(self) -> int:
-        return int(self.probs.shape[1])
-
 
 def from_counts(counts) -> CountTable:
     """Build a CountTable from a matrix of nonnegative integers.
@@ -96,23 +88,30 @@ def from_counts(counts) -> CountTable:
     dependence), non-integer or negative entries, all-zero tables, and totals
     beyond int64.
     """
-    a = np.asarray(counts)
-    if a.ndim != 2:
-        raise ValueError(f"counts must be a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 2 or a.shape[1] < 2:
-        raise ValueError(f"both cardinalities must be >= 2, got shape {a.shape}")
-    return CountTable(_freeze(np.array(_counts(a))))
+    return CountTable(_freeze(np.array(_counts(counts, ndim=2))))
 
 
-def _counts(c) -> np.ndarray:
-    """``c`` as int64 counts, once every table (over the last two axes) meets
-    the rule of :func:`from_counts`: integer counts, none negative, a total
-    above 0 and below 2**63. An int64 array is not converted."""
-    c = np.asarray(c)
-    if c.dtype.kind not in "iu":
-        f = np.asarray(c, dtype=float)
+def _integers(a, message: str) -> np.ndarray:
+    """``a`` as an array, once every entry is an integer (a float must be whole)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        f = np.asarray(a, dtype=float)
         if not np.isfinite(f).all() or (f != np.round(f)).any():
-            raise ValueError("counts must be integers")
+            raise ValueError(message)
+    return a
+
+
+def _counts(c, ndim: int = 3) -> np.ndarray:
+    """``c`` as int64 counts (not converted if int64), once it has ``ndim`` axes
+    and each table, over the last two, meets the rule of :func:`from_counts`:
+    both cardinalities >= 2, integer counts, none negative, a total above 0
+    and below 2**63."""
+    c = np.asarray(c)
+    if c.ndim != ndim:
+        raise ValueError(f"counts must be a {ndim}-D array, got ndim={c.ndim}")
+    if min(c.shape[-2:]) < 2:
+        raise ValueError(f"both cardinalities must be >= 2, got shape {c.shape}")
+    c = _integers(c, "counts must be integers")
     if c.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative")
     total = c.sum(axis=(-2, -1), dtype=float)
@@ -127,10 +126,10 @@ def _counts(c) -> np.ndarray:
 
 def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     """Count occurrences of (a, b) state pairs into a card_a x card_b table."""
-    card_a, card_b = int(card_a), int(card_b)
+    card_a, card_b = map(int, _integers((card_a, card_b), "cardinalities must be integers"))
     if card_a < 2 or card_b < 2:
         raise ValueError("both cardinalities must be >= 2")
-    idx = np.asarray(pairs, dtype=np.int64)
+    idx = _integers(pairs, "state indices must be integers").astype(np.int64, copy=False)
     if not idx.size:
         raise ValueError("empty sample produces an all-zero table")
     if idx.ndim != 2 or idx.shape[1] != 2:
@@ -202,7 +201,8 @@ def merge_states(t: CountTable, part_a, part_b) -> CountTable:
 
 def sample_table(p: ProbTable, n: int, gen: np.random.Generator) -> CountTable:
     """n i.i.d. draws from the joint p with ``gen``, accumulated into counts."""
-    if int(n) < 1:
-        raise ValueError("n must be >= 1")
-    flat = gen.multinomial(int(n), p.probs.ravel())
+    n = int(_integers(n, "n must be an integer"))
+    if not 1 <= n < 2**63:
+        raise ValueError(f"n must be >= 1 and below 2**63, got {n}")
+    flat = gen.multinomial(n, p.probs.ravel())
     return CountTable(_freeze(flat.reshape(p.probs.shape).astype(np.int64)))

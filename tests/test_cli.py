@@ -735,6 +735,18 @@ def test_experiment_bad_measures_is_usage_error(tmp_path, capsys, name, measures
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["fig2", "--z", "0.2"], ["fig3", "--z-grid", "0.5,9"]])
+def test_experiment_other_studys_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "curve.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", *argv, "--replicates", "1", "--n-values", "32", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: not allowed with {argv[0]}" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_experiment_measures_tolerate_spaces(tmp_path, capsys):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     args = ["experiment", "fig3", "--replicates", "1", "--n-values", "32"]

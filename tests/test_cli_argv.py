@@ -4,6 +4,8 @@ Each command gets flags drawn from valid values and from bad ones (nan, inf,
 negative numbers, integers of 2**63 and more, non-numbers) and input files
 that are well formed, ragged, non-integer, all zero, out of int64 range, not
 UTF-8, led by a UTF-8 byte-order mark, or with a column name given twice.
+Each study also gets the other study's flag at times (``--z`` for fig2,
+``--z-grid`` for fig3).
 Whatever the draw, ``main`` returns 0, 1 or 3 or exits 2 through argparse,
 lets no other exception escape, and prints nothing to stdout unless the exit
 code is 0. Sample sizes and replicates stay small, so every run is
@@ -111,9 +113,11 @@ def argv_for(command: str, draw, paths) -> list[str]:
     if command == "fig2":
         # sample sizes on both sides of the int64 limit; multinomial draws of any n are quick
         return [*study, "--n-values", draw(number_list("1", "25", str(2**63 - 1), str(2**63))),
-                *optional(draw, "--z-grid", number_list("0", "0.05", "0.125"))]
+                *optional(draw, "--z-grid", number_list("0", "0.05", "0.125")),
+                *optional(draw, "--z", number("0.1"))]  # fig3's flag: a usage error here
     return [*study, "--n-values", draw(number_list("32", "64", str(FIG3_MAX_N + 1))),
-            *optional(draw, "--z", number("0", "0.1", "0.25", "0.3"))]
+            *optional(draw, "--z", number("0", "0.1", "0.25", "0.3")),
+            *optional(draw, "--z-grid", number_list("0.05"))]  # fig2's flag: a usage error here
 
 
 @pytest.mark.parametrize("command", ["measure", "rank", "ess", "fig2", "fig3"])

@@ -14,6 +14,7 @@ import pytest
 
 from depscore import (
     DofMode,
+    MeasureKind,
     conditional_entropy,
     dof,
     entropy,
@@ -26,6 +27,7 @@ from depscore import (
     r_score,
     report,
     sample_table,
+    score,
     standardized_information,
     substream,
     uniform_prob,
@@ -219,6 +221,12 @@ def test_normalized_mi_values():
 def test_normalized_mi_degenerate():
     assert math.isnan(normalized_mi(from_counts([[5, 0], [0, 0]])))
     assert normalized_mi(from_counts([[5, 5], [0, 0]])) == 0.0   # one marginal has entropy
+
+
+def test_ni_without_h_bar_names_it():
+    for mi, d, n in ((0.1, 1, 40), (np.array([0.1, 0.2]), np.array([1, 1]), np.array([40, 50]))):
+        with pytest.raises(ValueError, match="h_bar"):
+            score(MeasureKind.NI, mi, d, n)
 
 
 def test_normalized_mi_in_unit_interval():

@@ -166,6 +166,9 @@ def test_stack_of_one_is_the_per_table_path():
     ([[[1, 2], [3, np.nan]]], "counts must be integers"),
     (np.array([[[2**63, 0], [0, 1]]], dtype=np.uint64), "total is not below 2\\*\\*63"),
     ([[[1, 2], [3, 4]], [[2**62, 2**62], [2**62, 1]]], "total is not below 2\\*\\*63"),
+    (np.ones((1, 1, 3), dtype=np.int64), "both cardinalities must be >= 2"),
+    ([[1, 2], [3, 4]], "counts must be a 3-D array, got ndim=2"),
+    ([[[[1, 2], [3, 4]]]], "counts must be a \\d-D array"),  # from_counts sees ndim 3
 ])
 def test_stack_stats_applies_the_from_counts_rule(mode, stack, message):
     with pytest.raises(ValueError, match=message):

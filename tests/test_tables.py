@@ -79,6 +79,10 @@ def test_from_samples_empty_and_range():
         from_samples([(0, 2)], 2, 2)
     with pytest.raises(ValueError):
         from_samples([(-1, 0)], 2, 2)
+    with pytest.raises(ValueError, match="state indices must be integers"):
+        from_samples([(0.5, 0)], 2, 2)
+    with pytest.raises(ValueError, match="cardinalities must be integers"):
+        from_samples([(0, 0)], 2.5, 2)
 
 
 def test_from_samples_length():
@@ -206,6 +210,10 @@ def test_sample_table_degenerate():
     p = make_prob_table([[1.0, 0.0], [0.0, 0.0]])
     t = sample_table(p, 10, substream(0, 0))
     assert t.counts.tolist() == [[10, 0], [0, 0]]
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_table(p, 1.5, substream(0, 0))
+    with pytest.raises(ValueError, match="n must be >= 1 and below 2\\*\\*63"):
+        sample_table(p, 2**63, substream(0, 0))
 
 
 def test_sample_table_determinism():
