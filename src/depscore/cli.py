@@ -7,7 +7,9 @@ as one too, so prior weights must be integers. A *dataset file* has a header
 row of variable names followed by one sample per row of arbitrary categorical
 labels; labels map to dense indices in first-appearance order per column, and
 the mapping is echoed in output comments so sparse-label behavior is
-reproducible. The reader's rules, the same for both formats:
+reproducible. `measure` reads its input as a dataset when `--pair` is given
+or a field of the first data row is not an integer, and as a count table
+otherwise. The reader's rules, the same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
 - blank lines, and lines whose first non-blank character is `#`, are
@@ -82,6 +84,11 @@ def _emit(text: str, out_path) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _record(obj) -> str:
+    """One ``name<TAB>value`` line per field of the dataclass ``obj``."""
+    return "".join(f"{f.name}\t{_fmt(getattr(obj, f.name))}\n" for f in fields(obj))
 
 
 def _fmt(x) -> str:
@@ -190,50 +197,36 @@ def read_dataset(path) -> Dataset:
 
 def _cmd_measure(args) -> int:
     rows = _rows(args.input)
-    fmt = args.format
-    if fmt == "auto":
-        head = next(rows, None)
-        if head is None:
-            raise ValueError(f"{args.input}: empty input")
-        try:
-            [int(f) for f in head]
-            fmt = "counts"
-        except ValueError:
-            fmt = "dataset"
-        rows = chain([head], rows)
-    out_lines = []
-    if fmt == "counts":
-        if args.pair:
-            raise ValueError("--pair applies to dataset input; a count file is one pair")
-        table = _count_table(rows, args.input)
-    else:
+    head = next(rows, None)
+    if head is None:
+        raise ValueError(f"{args.input}: empty input")
+    rows = chain([head], rows)
+    try:  # a count table, unless --pair names columns or the first row is not all integers
+        [int(f) for f in head]
+        dataset = bool(args.pair)
+    except ValueError:
+        dataset = True
+    lines = []
+    if dataset:
         ds = _dataset(rows, args.input)
-        if args.pair:
-            name_a, name_b = args.pair
-        elif len(ds.names) == 2:
-            name_a, name_b = ds.names
-        else:
+        pair = args.pair or ds.names
+        if len(pair) != 2:
             raise ValueError("--pair NAME NAME required for datasets with more than two columns")
-        table = ds.pair_table(name_a, name_b)
-        for nm in (name_a, name_b):
-            j = ds.column(nm)
-            out_lines.append(f"# labels {nm}: " + " ".join(ds.labels[j]))
+        table = ds.pair_table(*pair)
+        lines = [f"# labels {nm}: " + " ".join(ds.labels[ds.column(nm)]) for nm in pair]
+    else:
+        table = _count_table(rows, args.input)
     rep = report(table, DofMode(args.dof))
-    values = [(f.name, getattr(rep, f.name)) for f in fields(rep)]
-    if any(math.isnan(v) for _, v in values):
-        out_lines.append(_UNDEFINED_NOTE)
-    out_lines += [f"{name}\t{_fmt(v)}" for name, v in values]
-    _emit("\n".join(out_lines) + "\n", args.out)
+    if any(math.isnan(getattr(rep, f.name)) for f in fields(rep)):
+        lines.append(_UNDEFINED_NOTE)
+    _emit("".join(line + "\n" for line in lines) + _record(rep), args.out)
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
     ds = read_dataset(args.input)
     cls = args.class_column
-    ci = ds.column(cls)
     features = [nm for nm in ds.names if nm != cls]
-    if not features:
-        raise ValueError("dataset has no feature columns besides the class column")
     kind = MeasureKind(args.measure)
     mode = DofMode(args.dof)
     tables = [(nm, ds.pair_table(nm, cls)) for nm in features]
@@ -281,9 +274,7 @@ def _cmd_ess(args) -> int:
         if args.out:  # written before anything is printed, so a failed write prints nothing
             Path(args.out).write_text(curve, encoding="utf-8")
             curve = f"# curve written to {args.out}\n"
-    result = solve_ess(table, prior, mode)
-    sys.stdout.write("".join(f"{f.name}\t{_fmt(getattr(result, f.name))}\n"
-                             for f in fields(result)) + curve)
+    sys.stdout.write(_record(solve_ess(table, prior, mode)) + curve)
     return EXIT_OK
 
 
@@ -328,21 +319,20 @@ def _cmd_experiment(args) -> int:
     if args.name == "fig3":
         if args.z is not None:
             study["z"] = args.z
-        curve = run_feature_selection_experiment(**study)
-        text = format_curve(curve)
-        Path(args.out).write_text(text, encoding="utf-8")
-        tail = {m: curve.fractions[m][-1] for m in curve.measure_names}
-        print(f"wrote {args.out}")
-        print("fraction favoring 2 states at n=%g: %s"
-              % (curve.x_values[-1], " ".join(f"{m}={v:.3f}" for m, v in tail.items())))
-        return EXIT_OK
-    curves = run_discretization_experiment(z_grid=args.z_grid, **study)  # fig2
-    out = Path(args.out)
+        # keyed by --out as given, so fig3's "wrote" line names it unnormalized; fig2's a Path
+        outputs = {args.out: run_feature_selection_experiment(**study)}
+    else:  # fig2: one curve per n, each file tagged with its n when there are several
+        curves = run_discretization_experiment(z_grid=args.z_grid, **study)
+        out = Path(args.out)
+        outputs = {_with_suffix(out, f"_n{n}") if len(curves) > 1 else out: curve
+                   for n, curve in curves.items()}
     written = ""  # printed once every file is written
-    for n, curve in curves.items():
-        path = _with_suffix(out, f"_n{n}") if len(curves) > 1 else out
-        path.write_text(format_curve(curve), encoding="utf-8")
+    for path, curve in outputs.items():
+        Path(path).write_text(format_curve(curve), encoding="utf-8")
         written += f"wrote {path}\n"
+    if args.name == "fig3":  # after the loop, ``curve`` is fig3's one curve
+        written += "fraction favoring 2 states at n=%g: %s\n" % (curve.x_values[-1], " ".join(
+            f"{m}={curve.fractions[m][-1]:.3f}" for m in curve.measure_names))
     sys.stdout.write(written)
     return EXIT_OK
 
@@ -373,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="full dependence report for one pair")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["auto", "dataset", "counts"], default="auto")
     p.add_argument("--pair", nargs=2, metavar=("COL_A", "COL_B"))
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     common(p)

@@ -61,7 +61,7 @@ from . import measures as meas
 from .measures import MeasureKind
 from .numerics import bisect_root, substream
 from .ranking import first_best, refinement_increment, refinement_margin, selection_margin
-from .tables import CountTable, DofMode, ProbTable, from_counts, make_prob_table
+from .tables import CountTable, DofMode, ProbTable, _integers, from_counts, make_prob_table
 
 __all__ = [
     "fig2_distribution",
@@ -169,7 +169,6 @@ def _sample_nb_stacks(model: NaiveBayesModel, n: int,
                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n joint draws of (class, all 20 features), as a (10, 2, 4) binary and a
     (10, 4, 4) four-state stack of feature-by-class count tables."""
-    n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     y = gen.integers(0, N_CLASSES, size=n)
@@ -194,7 +193,7 @@ def sample_nb_dataset(model: NaiveBayesModel, n: int,
     columns. Draw order is fixed (class block, binary block, four-state
     block) so a given generator state always yields the same dataset.
     """
-    binary, four = _sample_nb_stacks(model, n, gen)
+    binary, four = _sample_nb_stacks(model, int(_integers(n, "n must be an integer")), gen)
     return [(f"x{j + 1:02d}", from_counts(c)) for j, c in enumerate((*binary, *four))]
 
 
@@ -222,7 +221,9 @@ class ExperimentCurve:
 
 
 def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]:
-    replicates, kinds, n_values = int(replicates), tuple(measure_kinds), tuple(map(int, n_values))
+    replicates = int(_integers(replicates, "replicates must be an integer"))
+    kinds = tuple(measure_kinds)
+    n_values = tuple(int(_integers(n, "n must be an integer")) for n in n_values)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if min(n_values, default=1) < 1:

@@ -129,7 +129,13 @@ def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     card_a, card_b = map(int, _integers((card_a, card_b), "cardinalities must be integers"))
     if card_a < 2 or card_b < 2:
         raise ValueError("both cardinalities must be >= 2")
-    idx = _integers(pairs, "state indices must be integers").astype(np.int64, copy=False)
+    if card_a * card_b >= 2**63:
+        raise ValueError(f"card_a * card_b must be below 2**63, got {card_a * card_b}")
+    idx = _integers(pairs, "state indices must be integers")
+    try:  # an index beyond int64 overflows the cast; one in range never does
+        idx = idx.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError("state index out of range") from None
     if not idx.size:
         raise ValueError("empty sample produces an all-zero table")
     if idx.ndim != 2 or idx.shape[1] != 2:

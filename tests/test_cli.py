@@ -147,8 +147,6 @@ def test_repeated_column_name_exits_1_naming_it(tmp_path, capsys, header, repeat
 
 @pytest.mark.parametrize("text, argv", [
     pytest.param("200 100\n100 200\n", ["measure", "--input"], id="measure-counts"),
-    pytest.param("200 100\n100 200\n", ["measure", "--format", "counts", "--input"],
-                 id="measure-format"),
     pytest.param("200 100\n100 200\n", ["ess", "--input"], id="ess"),
     pytest.param("1 2\n2 1\n", ["ess", "--input", "{table}", "--prior"], id="ess-prior"),
     pytest.param("g,y\na,0\nb,1\na,1\nb,1\na,0\n", ["measure", "--pair", "g", "y", "--input"],
@@ -173,8 +171,7 @@ def test_byte_order_mark_changes_no_output(tmp_path, capsys, text, argv):
 
 
 @pytest.mark.parametrize("name, text, argv", [
-    pytest.param("bad.counts", "1 2 3\n4 5\n", ["measure", "--format", "counts"],
-                 id="measure-counts"),
+    pytest.param("bad.counts", "1 2 3\n4 5\n", ["measure"], id="measure-counts"),
     pytest.param("bad.counts", "1 2\n3 4 5\n", ["ess"], id="ess-counts"),
     pytest.param("bad.csv", "a,b,y\nx,u,p\nx,u\n", ["rank", "--class-column", "y"],
                  id="rank-dataset"),
@@ -186,6 +183,15 @@ def test_ragged_input_exits_1_naming_arity(tmp_path, capsys, name, text, argv):
     code, out, err = run_cli(capsys, *argv, "--input", str(f))
     assert code == 1 and out == ""
     assert "arity" in err
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["rank", "--class-column", "y"]])
+def test_one_column_dataset_exits_1(tmp_path, capsys, argv):
+    f = tmp_path / "d.csv"
+    f.write_text("y\na\nb\na\n")
+    code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    assert code == 1 and out == ""
+    assert err == f"error: {f}: need at least two columns\n"
 
 
 @pytest.mark.parametrize("name, text, argv", [
@@ -249,6 +255,32 @@ def test_measure_dataset_matches_counts(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "measure", "--input", str(cf))
     assert code2 == 0
     assert parse_kv(out2) == {k: v for k, v in vals.items()}
+
+
+def test_measure_pair_reads_an_all_integer_file_as_a_dataset(tmp_path, capsys):
+    # header and labels are integers, so without --pair the file is a count table
+    ds = tmp_path / "d.txt"
+    ds.write_text("10 20\n7 5\n7 5\n8 5\n8 6\n8 6\n7 5\n")
+    code, out, err = run_cli(capsys, "measure", "--input", str(ds), "--pair", "10", "20")
+    assert code == 0 and err == ""
+    assert out.startswith("# labels 10: 7 8\n# labels 20: 5 6\n")
+    cf = tmp_path / "t.counts"
+    cf.write_text("3 0\n1 2\n")
+    code2, out2, _ = run_cli(capsys, "measure", "--input", str(cf))
+    assert code2 == 0 and parse_kv(out) == parse_kv(out2)
+    code3, out3, _ = run_cli(capsys, "measure", "--input", str(ds))
+    assert code3 == 0 and int(parse_kv(out3)["n"]) == 107
+
+
+@pytest.mark.parametrize("value", ["auto", "dataset", "counts"])
+def test_measure_format_flag_is_gone(tmp_path, capsys, value):
+    f = tmp_path / "t.counts"
+    f.write_text("200 100\n100 200\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--format", value, "--input", str(f)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --format" in captured.err
 
 
 def test_measure_roundtrip_dataset_to_counts(tmp_path, capsys):

@@ -87,7 +87,6 @@ def argv_for(command: str, draw, paths) -> list[str]:
     measures = st.sampled_from([k.value for k in MeasureKind] + ["nope"])
     if command == "measure":
         return ["measure", *source, *dof, *optional(draw, "--out", st.just(out)),
-                *optional(draw, "--format", st.sampled_from(["auto", "dataset", "counts"])),
                 *(["--pair", "a", "y"] if draw(st.booleans()) else [])]
     if command == "rank":
         return ["rank", *source, "--class-column", draw(st.sampled_from(["y", "a", "nope"])),

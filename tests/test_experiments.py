@@ -143,6 +143,31 @@ def test_sample_nb_dataset_determinism():
         assert np.array_equal(ta.counts, tb.counts)
 
 
+@pytest.mark.parametrize("call, message", [
+    # a non-integer size is an error, not truncated to one replicate at n = 32
+    pytest.param(lambda: run_feature_selection_experiment(n_values=[32.7], replicates=1),
+                 "n must be an integer", id="fig3-n"),
+    pytest.param(lambda: run_feature_selection_experiment(n_values=[32], replicates=1.9),
+                 "replicates must be an integer", id="fig3-replicates"),
+    pytest.param(lambda: run_discretization_experiment(n_values=[25.5], replicates=1),
+                 "n must be an integer", id="fig2-n"),
+    pytest.param(lambda: run_discretization_experiment(replicates=0),
+                 "replicates must be >= 1", id="fig2-no-replicates"),
+    pytest.param(lambda: run_discretization_experiment(n_values=[0], replicates=1),
+                 "n must be >= 1", id="fig2-n-zero"),
+    pytest.param(lambda: run_discretization_experiment(
+        replicates=1, measure_kinds=[MeasureKind.SI, MeasureKind.SI]),
+                 "measures must be distinct", id="fig2-repeated-measure"),
+    pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 32.7, substream(1, 0)),
+                 "n must be an integer", id="nb-dataset-n"),
+    pytest.param(lambda: nb_true_mi(NaiveBayesModel(0.1), "other"),
+                 "which must be 'binary' or 'four_state'", id="nb-true-mi-which"),
+])
+def test_bad_study_inputs_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # discretization harness
 # ---------------------------------------------------------------------------

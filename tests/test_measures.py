@@ -66,6 +66,10 @@ def test_entropy_rejects_bad_distributions():
         entropy([0.5, 0.6])
     with pytest.raises(ValueError):
         entropy([-0.1, 1.1])
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        entropy([[0.5, 0.5]])
+    with pytest.raises(ValueError, match="target must be 'a' or 'b'"):
+        conditional_entropy(from_counts(T2112), "c")
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,16 @@ def test_from_samples_empty_and_range():
         from_samples([(0.5, 0)], 2, 2)
     with pytest.raises(ValueError, match="cardinalities must be integers"):
         from_samples([(0, 0)], 2.5, 2)
+    with pytest.raises(ValueError, match="both cardinalities must be >= 2"):
+        from_samples([(0, 0)], 1, 2)
+    for pairs in ([0, 1], [(0, 1, 1)], [[[0, 1]]]):
+        with pytest.raises(ValueError, match=r"sequence of \(a, b\) index pairs"):
+            from_samples(pairs, 2, 2)
+    # beyond int64: a ValueError, not the OverflowError of the int64 cast or bincount
+    with pytest.raises(ValueError, match="state index out of range"):
+        from_samples([(2**70, 0)], 2, 2)
+    with pytest.raises(ValueError, match=r"card_a \* card_b must be below 2\*\*63"):
+        from_samples([(0, 0)], 2**40, 2**40)
 
 
 def test_from_samples_length():
@@ -136,6 +146,9 @@ def test_make_prob_table_rejects():
         make_prob_table([[0.5, 0.6], [0.2, 0.2]])
     with pytest.raises(ValueError):
         make_prob_table([[0.5, -0.1], [0.3, 0.3]])
+    for probs in ([[0.5, 0.5]], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="at least 2x2"):
+            make_prob_table(probs)
 
 
 # ---------------------------------------------------------------------------
