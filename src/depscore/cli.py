@@ -66,7 +66,7 @@ from .experiments import (
     run_feature_selection_experiment,
 )
 from .measures import MeasureKind, report
-from .ranking import is_notable, rank, score_candidates
+from .ranking import rank, score_candidates, si_threshold
 from .tables import CountTable, DofMode, from_counts, from_samples, make_prob_table
 
 # printed once above a report or ranking that holds an undefined (nan) value
@@ -235,6 +235,7 @@ def _cmd_rank(args) -> int:
     if any(math.isnan(c.score) for c in ranking.candidates):
         lines.append(_UNDEFINED_NOTE)
     show_notable = kind in (MeasureKind.SI, MeasureKind.SI_FISHER)
+    threshold = si_threshold(args.alpha)
     header = ["rank", "id", "score"]
     if kind is MeasureKind.P_VALUE:
         header.append("log_p")
@@ -246,7 +247,7 @@ def _cmd_rank(args) -> int:
         if kind is MeasureKind.P_VALUE:
             row.append(_fmt(math.nan if math.isnan(cand.score) else -cand.key))
         if show_notable:
-            row.append(_fmt(is_notable(cand.score, args.alpha)))
+            row.append(_fmt(cand.score > threshold))
         lines.append("\t".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -316,19 +317,18 @@ def _cmd_experiment(args) -> int:
         study["n_values"] = args.n_values
     if args.measures is not None:
         study["measure_kinds"] = args.measures
+    out = Path(args.out)
     if args.name == "fig3":
         if args.z is not None:
             study["z"] = args.z
-        # keyed by --out as given, so fig3's "wrote" line names it unnormalized; fig2's a Path
-        outputs = {args.out: run_feature_selection_experiment(**study)}
+        outputs = {out: run_feature_selection_experiment(**study)}
     else:  # fig2: one curve per n, each file tagged with its n when there are several
         curves = run_discretization_experiment(z_grid=args.z_grid, **study)
-        out = Path(args.out)
         outputs = {_with_suffix(out, f"_n{n}") if len(curves) > 1 else out: curve
                    for n, curve in curves.items()}
     written = ""  # printed once every file is written
     for path, curve in outputs.items():
-        Path(path).write_text(format_curve(curve), encoding="utf-8")
+        path.write_text(format_curve(curve), encoding="utf-8")
         written += f"wrote {path}\n"
     if args.name == "fig3":  # after the loop, ``curve`` is fig3's one curve
         written += "fraction favoring 2 states at n=%g: %s\n" % (curve.x_values[-1], " ".join(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import mi_plugin
-from .tables import CountTable, DofMode, ProbTable, dof, uniform_prob
+from .tables import CountTable, DofMode, ProbTable, dof
 
 __all__ = [
     "EssResult",
@@ -66,16 +66,6 @@ class EssResult:
     used_safe_joint: bool
 
 
-def _check_prior(t: CountTable, q: ProbTable | None) -> ProbTable:
-    if q is None:
-        return uniform_prob(t.card_a, t.card_b)
-    if q.probs.shape != t.counts.shape:
-        raise ValueError(
-            f"prior shape {q.probs.shape} does not match table shape {t.counts.shape}"
-        )
-    return q
-
-
 def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
     """Cellwise log[ joint / (marginal * marginal) ] of the empirical distribution.
 
@@ -98,20 +88,31 @@ def log_ratio_field(t: CountTable) -> tuple[np.ndarray, bool]:
     return field, used_safe
 
 
+def _prior_mean(t: CountTable, q: ProbTable | None) -> tuple[float, bool]:
+    """``(<L>_q, used_safe_joint)``: the prior mean of the log-ratio field, with the
+    uniform prior (``q`` None) as the scalar weight 1 / cells."""
+    if q is not None and q.probs.shape != t.counts.shape:
+        raise ValueError(
+            f"prior shape {q.probs.shape} does not match table shape {t.counts.shape}"
+        )
+    field, used_safe = log_ratio_field(t)
+    weight = 1.0 / (t.card_a * t.card_b) if q is None else q.probs
+    return float((weight * field).sum()), used_safe
+
+
 def constraint_lhs(t: CountTable, n_prime, q: ProbTable | None = None):
     """Left side of the matching constraint, sum p_tilde * L, as (1 - w) mi + w <L>_q.
 
     A float for one ``n_prime``; for an array, an array of its shape. Every
     n' must be finite and >= 0; the first that is not is named in the error.
     """
-    q = _check_prior(t, q)
+    l_bar, _ = _prior_mean(t, q)
     g = np.asarray(n_prime, dtype=float)
     bad = g[~((g >= 0.0) & (g < np.inf))]
     if bad.size:
         raise ValueError(f"n_prime must be a finite number >= 0, got {bad[0]}")
-    field, _ = log_ratio_field(t)
     w = g / (t.n + g)
-    lhs = (1.0 - w) * mi_plugin(t) + w * float((q.probs * field).sum())
+    lhs = (1.0 - w) * mi_plugin(t) + w * l_bar
     return float(lhs) if lhs.ndim == 0 else lhs
 
 
@@ -128,8 +129,7 @@ def solve_ess(t: CountTable, q: ProbTable | None = None,
     when d < 1 (the right side is then mi itself, met only at n' = 0) or
     when rhs <= <L>_q (the left side never falls that low).
     """
-    q = _check_prior(t, q)
-    field, used_safe = log_ratio_field(t)
+    l_bar, used_safe = _prior_mean(t, q)
     mi = mi_plugin(t)
     d = dof(t, mode)
     if d < 1:
@@ -138,7 +138,6 @@ def solve_ess(t: CountTable, q: ProbTable | None = None,
             "dependence too weak for a positive equivalent sample size"
         )
     rhs = mi - d / float(t.n)
-    l_bar = float((q.probs * field).sum())  # <L>_q, the prior mean of the field
     if rhs <= l_bar:
         raise NoRootError(
             f"no positive root: rhs {rhs:.6g} <= limiting value <L>_q {l_bar:.6g}"

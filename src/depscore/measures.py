@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import reg_gamma_upper
-from .tables import CountTable, DofMode, _counts, _dof, dof, empirical_joint
+from .tables import CountTable, DofMode, _counts, _dof, dof
 
 __all__ = [
     "MeasureKind",
@@ -261,9 +261,9 @@ def conditional_entropy(t: CountTable, target: str = "a") -> float:
     """
     if target not in ("a", "b"):
         raise ValueError(f"target must be 'a' or 'b', got {target!r}")
-    p = empirical_joint(t)
-    h_joint = entropy(p.probs.ravel())
-    other = p.probs.sum(axis=0) if target == "a" else p.probs.sum(axis=1)
+    p = t.counts / t.n
+    h_joint = entropy(p.ravel())
+    other = p.sum(axis=0) if target == "a" else p.sum(axis=1)
     return float(max(h_joint - entropy(other), 0.0))
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "score_candidates",
     "rank",
     "si_threshold",
-    "is_notable",
     "compare_discretizations",
 ]
 
@@ -85,15 +84,12 @@ def si_threshold(alpha: float) -> float:
     return -NormalDist().inv_cdf(alpha) / math.sqrt(2.0)  # 1 - alpha may round to 1
 
 
-def is_notable(si: float, alpha: float) -> bool:
-    """Whether a standardized-information value clears the alpha threshold."""
-    return float(si) > si_threshold(alpha)
-
-
 def selection_margin(kind: MeasureKind, alpha: float) -> float:
-    """How far a richer candidate's key must clear the simpler one's."""
+    """How far a richer candidate's key must clear the simpler one's; raises for an
+    alpha outside (0, 1) under every measure."""
+    threshold = si_threshold(alpha)
     if kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
-        return si_threshold(alpha)
+        return threshold
     if kind is MeasureKind.P_VALUE:
         return -math.log(alpha)
     return 0.0
@@ -101,7 +97,8 @@ def selection_margin(kind: MeasureKind, alpha: float) -> float:
 
 def refinement_margin(kind: MeasureKind, alpha: float) -> float:
     """What a refinement increment's key must exceed; see :func:`compare_discretizations`."""
-    return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else selection_margin(kind, alpha)
+    margin = selection_margin(kind, alpha)  # checks alpha under ni too
+    return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else margin
 
 
 def refinement_increment(fine, coarse) -> tuple:

@@ -12,7 +12,8 @@ of order 1/sqrt(n) that cancel to order 1/n. Against mpmath at 80 digits, on
 10 seeded near-independent 4x4 tables per total, its worst relative error
 was about 1e-11 at n = 1e6, 1e-8 at 1e9, 1e-5 at 1e12, 1e-2 at 1e15 and
 0.5 at 1e16. ``test_g_statistic_accurate_up_to_1e9`` pins 1e-7 up to
-n = 1e9; a cancellation-free G is ROADMAP item 2.
+n = 1e9; a cancellation-free G is the ROADMAP item "Exact G = 2N·MI over
+every total the library accepts".
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ __all__ = [
     "DofMode",
     "from_counts",
     "from_samples",
-    "empirical_joint",
     "make_prob_table",
-    "uniform_prob",
     "dof",
     "merge_states",
     "sample_table",
@@ -42,8 +41,10 @@ class DofMode(enum.Enum):
 
     NOMINAL is the full-table count (|A|-1)(|B|-1). EFFECTIVE discounts
     unobserved cells: observed cells minus independently estimable marginal
-    parameters, max(0, n_nonzero - rows_positive - cols_positive + 1), the
-    standard quasi-independence count. The two agree when no cell is empty.
+    parameters, max(0, n_nonzero - rows_positive - cols_positive + 1): the
+    standard quasi-independence count on a connected support, k - 1 below it
+    on one that splits into k blocks ([[3,4,0],[5,6,0],[0,0,7]] gets 0, not 1).
+    The two modes agree when no cell is empty.
     """
 
     NOMINAL = "nominal"
@@ -146,11 +147,6 @@ def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     return CountTable(_freeze(flat.reshape(card_a, card_b).astype(np.int64)))
 
 
-def empirical_joint(t: CountTable) -> ProbTable:
-    """Relative frequencies N_ab / N as a ProbTable."""
-    return ProbTable(_freeze(t.counts / t.n))
-
-
 def make_prob_table(probs) -> ProbTable:
     """Validate and wrap a probability matrix (entries >= 0, sum within 1e-12 of 1)."""
     p = np.asarray(probs, dtype=float)
@@ -161,11 +157,6 @@ def make_prob_table(probs) -> ProbTable:
     if abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
     return ProbTable(_freeze(p.copy()))
-
-
-def uniform_prob(card_a: int, card_b: int) -> ProbTable:
-    """Uniform joint distribution on a card_a x card_b grid."""
-    return make_prob_table(np.full((card_a, card_b), 1.0 / (card_a * card_b)))
 
 
 def _dof(c: np.ndarray, mode: DofMode) -> np.ndarray:

@@ -9,11 +9,11 @@ from depscore import (
     DofMode,
     dof,
     from_counts,
+    make_prob_table,
     mi_plugin,
     sample_table,
     standardized_information,
     substream,
-    uniform_prob,
 )
 
 
@@ -42,7 +42,7 @@ def chi2_null_replicates():
     Returns (mi values, si values) as arrays; every cell is occupied at this
     N, so effective and nominal dof agree at 9.
     """
-    p = uniform_prob(4, 4)
+    p = make_prob_table(np.full((4, 4), 1 / 16))
     n = 1000
     mis = np.empty(10_000)
     sis = np.empty(10_000)

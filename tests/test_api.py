@@ -17,13 +17,13 @@ PUBLIC = frozenset("""
     CountTable DependenceReport DofMode EssResult ExperimentCurve MeasureKind
     NaiveBayesModel NoRootError ProbTable Ranking ScoredCandidate bisect_root
     compare_discretizations conditional_entropy constraint_lhs constraint_rhs dof
-    empirical_joint entropy fig2_distribution format_curve from_counts from_samples
-    is_notable log_ratio_field make_prob_table mean_marginal_entropy merge_states
+    entropy fig2_distribution format_curve from_counts from_samples
+    log_ratio_field make_prob_table mean_marginal_entropy merge_states
     mi_plugin nb_equal_mi_z nb_true_mi normalized_mi p_value r_score rank
     reg_gamma_upper report run_discretization_experiment
     run_feature_selection_experiment sample_nb_dataset sample_table score
     score_candidates si_threshold solve_ess stack_stats standardized_information
-    substream uniform_prob
+    substream
 """.split())
 
 

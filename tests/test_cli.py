@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from depscore import (DependenceReport, DofMode, EssResult, cli, constraint_lhs, constraint_rhs,
-                      make_prob_table, mi_plugin)
+                      make_prob_table, mi_plugin, si_threshold)
 from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
 from depscore.experiments import FIG3_MAX_N
 
@@ -387,6 +387,26 @@ def test_rank_si_orders_predictor_first(tmp_path, capsys):
     assert first[3] == "true" and second[3] == "false"
 
 
+def test_rank_notable_is_strictly_above_the_threshold(tmp_path, capsys):
+    # g agrees with y in 4 rows of 5, n is independent of y, and c is constant, so its
+    # effective dof is 0 and its score nan, which is never notable; at alpha 0.5 the
+    # threshold is 0
+    rows = ["g,n,c,y"] + [f"{(i + (i % 5 == 0)) % 2},{'pq'[i // 2 % 2]},k,{i % 2}"
+                          for i in range(40)]
+    f = tmp_path / "d.csv"
+    f.write_text("\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "rank", "--input", str(f), "--class-column", "y",
+                           "--alpha", "0.5")
+    assert code == 0
+    data = [ln.split("\t") for ln in out.strip().split("\n") if not ln.startswith("#")]
+    assert data[0] == ["rank", "id", "score", "notable"]
+    notable = {row[1]: row[3] for row in data[1:]}
+    assert notable == {row[1]: "true" if float(row[2]) > si_threshold(0.5) else "false"
+                       for row in data[1:]}
+    assert data[-1][1:] == ["c", "nan", "false"] and notable["n"] == "false"
+    assert notable["g"] == "true"
+
+
 def test_rank_p_value_uses_log_key(tmp_path, capsys):
     f = make_rank_dataset(tmp_path)
     code, out, _ = run_cli(capsys, "rank", "--input", str(f),
@@ -711,6 +731,16 @@ def test_experiment_fig3_deterministic_rerun(tmp_path, capsys):
     assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
     assert "wrote" in out1
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_experiment_wrote_line_names_the_normalized_path(tmp_path, capsys, monkeypatch, name):
+    # both studies print the path as pathlib writes it: ./c.tsv as c.tsv
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "experiment", name, "--replicates", "1",
+                           "--n-values", "32", "--out", "./c.tsv")
+    assert code == 0 and out.splitlines()[0] == "wrote c.tsv"
+    assert (tmp_path / "c.tsv").is_file()
 
 
 def test_experiment_fig2_writes_per_n_files(tmp_path, capsys):

@@ -30,7 +30,6 @@ from depscore import (
     sample_table,
     solve_ess,
     substream,
-    uniform_prob,
 )
 from conftest import random_count_table
 
@@ -45,10 +44,10 @@ RHS_600 = 0.05496634559846582          # mi - 1/600
 def definitional_lhs(t, n_prime, q=None):
     """sum((c + n' q) / (N + n') * L): the constraint's left side from one smoothed
     table per n', with the uniform prior when ``q`` is None."""
-    q = uniform_prob(t.card_a, t.card_b) if q is None else q
+    q = np.full(t.counts.shape, 1 / t.counts.size) if q is None else q.probs
     field, _ = log_ratio_field(t)
     g = np.asarray(n_prime, dtype=float)[..., None, None]
-    return ((t.counts + g * q.probs) / (t.n + g) * field).sum(axis=(-2, -1))
+    return ((t.counts + g * q) / (t.n + g) * field).sum(axis=(-2, -1))
 
 
 def bisection_root(t, q=None) -> float:
@@ -83,7 +82,7 @@ def test_prior_shape_mismatch():
     t = from_counts([[2, 1], [1, 2]])
     for call in (lambda q: constraint_lhs(t, 1.0, q), lambda q: solve_ess(t, q)):
         with pytest.raises(ValueError, match=r"prior shape \(3, 3\) does not match"):
-            call(uniform_prob(3, 3))
+            call(make_prob_table(np.full((3, 3), 1 / 9)))
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -340,8 +339,8 @@ def test_solve_ess_residual_and_no_root_condition():
             continue  # empty marginal
         d = dof(t, DofMode.EFFECTIVE)
         rhs = constraint_rhs(t)
-        for kind, q in (("uniform", uniform_prob(t.card_a, t.card_b)),
-                        ("random", random_prior(gen, t))):
+        uniform = make_prob_table(np.full(t.counts.shape, 1 / t.counts.size))
+        for kind, q in (("uniform", uniform), ("random", random_prior(gen, t))):
             has_root = d >= 1 and rhs > float((q.probs * field).sum())
             try:
                 res = solve_ess(t, q)

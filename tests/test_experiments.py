@@ -10,6 +10,7 @@ import pytest
 from depscore import (
     MeasureKind,
     NaiveBayesModel,
+    compare_discretizations,
     fig2_distribution,
     format_curve,
     from_counts,
@@ -160,8 +161,20 @@ def test_sample_nb_dataset_determinism():
                  "measures must be distinct", id="fig2-repeated-measure"),
     pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 32.7, substream(1, 0)),
                  "n must be an integer", id="nb-dataset-n"),
+    pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 0, substream(1, 0)),
+                 "n must be >= 1", id="nb-dataset-n-zero"),
     pytest.param(lambda: nb_true_mi(NaiveBayesModel(0.1), "other"),
                  "which must be 'binary' or 'four_state'", id="nb-true-mi-which"),
+    # alpha is checked under every measure, not only where a margin uses it
+    *(pytest.param(lambda run=run, a=a, k=k: run(replicates=1, alpha=a, measure_kinds=[k]),
+                   r"alpha must be in \(0, 1\)", id=f"{name}-alpha-{a}-{k.value}")
+      for name, run in (("fig2", run_discretization_experiment),
+                        ("fig3", run_feature_selection_experiment))
+      for a in (0.0, 1.0, 2.0, math.nan)
+      for k in (MeasureKind.MI_PLUGIN, MeasureKind.MI_BC, MeasureKind.NI, MeasureKind.P_VALUE)),
+    pytest.param(lambda: compare_discretizations(from_counts(np.ones((4, 4), dtype=int)),
+                                                 FIG2_PARTITIONS, MeasureKind.P_VALUE, alpha=3.0),
+                 r"alpha must be in \(0, 1\)", id="compare-alpha"),
 ])
 def test_bad_study_inputs_raise(call, message):
     with pytest.raises(ValueError, match=message):

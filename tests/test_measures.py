@@ -30,7 +30,6 @@ from depscore import (
     score,
     standardized_information,
     substream,
-    uniform_prob,
 )
 from depscore.tables import make_prob_table
 from conftest import random_count_table

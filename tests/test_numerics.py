@@ -224,6 +224,11 @@ def test_substream_determinism_and_separation():
 def test_bisect_root_finds_root():
     root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    # a root at an endpoint comes back as that endpoint
+    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    # three halvings of [0, 1] toward 1/3 leave [0.25, 0.375]; its midpoint comes back
+    assert bisect_root(lambda x: x - 1 / 3, 0.0, 1.0, xtol=0.0, max_iter=3) == 0.3125
 
 
 def test_bisect_root_requires_sign_change():

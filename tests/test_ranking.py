@@ -16,7 +16,6 @@ from depscore import (
     entropy,
     fig2_distribution,
     from_counts,
-    is_notable,
     merge_states,
     mi_plugin,
     normalized_mi,
@@ -57,14 +56,6 @@ def test_si_threshold_domain():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             si_threshold(bad)
-
-
-def test_is_notable():
-    assert not is_notable(0.0, 0.05)
-    assert is_notable(2.0, 0.05)
-    # at alpha = 0.5 the threshold is 0
-    assert is_notable(1e-9, 0.5)
-    assert not is_notable(-1e-9, 0.5)
 
 
 # ---------------------------------------------------------------------------

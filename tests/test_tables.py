@@ -10,14 +10,12 @@ import pytest
 from depscore import (
     DofMode,
     dof,
-    empirical_joint,
     from_counts,
     from_samples,
     make_prob_table,
     merge_states,
     sample_table,
     substream,
-    uniform_prob,
 )
 from conftest import random_count_table
 
@@ -116,26 +114,18 @@ def test_from_samples_array_equals_tuples():
 # empirical distribution and marginals
 # ---------------------------------------------------------------------------
 
-def test_empirical_joint_exact_fractions():
-    p = empirical_joint(from_counts([[2, 1], [1, 2]]))
-    assert p.probs.tolist() == [[2 / 6, 1 / 6], [1 / 6, 2 / 6]]
-    p2 = empirical_joint(from_counts([[5, 0], [0, 5]]))
-    assert p2.probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
-    p3 = empirical_joint(from_counts(np.ones((4, 4), dtype=int)))
-    assert np.all(p3.probs == 1 / 16)
-
-
 def test_from_samples_then_empirical_is_exact():
     # relative frequencies come out as exact rationals on small cases
     pairs = [(0, 0)] * 3 + [(0, 1)] * 1 + [(1, 0)] * 2 + [(1, 1)] * 2
-    p = empirical_joint(from_samples(pairs, 2, 2))
-    assert p.probs.tolist() == [[3 / 8, 1 / 8], [2 / 8, 2 / 8]]
+    t = from_samples(pairs, 2, 2)
+    assert (t.counts / t.n).tolist() == [[3 / 8, 1 / 8], [2 / 8, 2 / 8]]
 
 
 def test_marginals():
-    p = empirical_joint(from_counts([[2, 1], [1, 2]])).probs
+    t = from_counts([[2, 1], [1, 2]])
+    p = t.counts / t.n
     assert p.sum(axis=1).tolist() == [0.5, 0.5] and p.sum(axis=0).tolist() == [0.5, 0.5]
-    p4 = uniform_prob(4, 4).probs
+    p4 = make_prob_table(np.full((4, 4), 1 / 16)).probs
     assert np.allclose(p4.sum(axis=1), 0.25) and np.allclose(p4.sum(axis=0), 0.25)
     p1 = make_prob_table([[1.0, 0.0], [0.0, 0.0]]).probs
     assert p1.sum(axis=1).tolist() == [1.0, 0.0] and p1.sum(axis=0).tolist() == [1.0, 0.0]
@@ -159,6 +149,8 @@ def test_dof_nominal_and_effective_full_table():
     t = from_counts(np.ones((4, 4), dtype=int))
     assert dof(t, DofMode.NOMINAL) == 9
     assert dof(t, DofMode.EFFECTIVE) == 9
+    with pytest.raises(ValueError, match="unknown dof mode 'effective'"):
+        dof(t, "effective")  # the mode's value is not the mode
 
 
 def test_dof_effective_one_empty_cell():
@@ -230,7 +222,7 @@ def test_sample_table_degenerate():
 
 
 def test_sample_table_determinism():
-    p = uniform_prob(3, 3)
+    p = make_prob_table(np.full((3, 3), 1 / 9))
     a = sample_table(p, 500, substream(5, 1))
     b = sample_table(p, 500, substream(5, 1))
     assert a.counts.tolist() == b.counts.tolist()
@@ -238,7 +230,7 @@ def test_sample_table_determinism():
 
 def test_sample_table_uniform_cells_within_5_sigma():
     n = 160_000
-    t = sample_table(uniform_prob(4, 4), n, substream(123, 0))
+    t = sample_table(make_prob_table(np.full((4, 4), 1 / 16)), n, substream(123, 0))
     sigma = math.sqrt(n * (1 / 16) * (15 / 16))
     assert np.all(np.abs(t.counts - n / 16) <= 5.0 * sigma)
     assert t.n == n
