@@ -230,9 +230,9 @@ def _cmd_rank(args) -> int:
     kind = MeasureKind(args.measure)
     mode = DofMode(args.dof)
     tables = [(nm, ds.pair_table(nm, cls)) for nm in features]
-    ranking = rank(score_candidates(tables, kind, mode))
+    ranked = rank(score_candidates(tables, kind, mode))
     lines = [f"# measure: {kind.value}", f"# class: {cls}", f"# dof_mode: {mode.value}"]
-    if any(math.isnan(c.score) for c in ranking.candidates):
+    if any(math.isnan(c.score) for c in ranked):
         lines.append(_UNDEFINED_NOTE)
     show_notable = kind in (MeasureKind.SI, MeasureKind.SI_FISHER)
     threshold = si_threshold(args.alpha)
@@ -242,7 +242,7 @@ def _cmd_rank(args) -> int:
     if show_notable:
         header.append("notable")
     lines.append("\t".join(header))
-    for pos, cand in enumerate(ranking.candidates, start=1):
+    for pos, cand in enumerate(ranked, start=1):
         row = [str(pos), cand.id, _fmt(cand.score)]
         if kind is MeasureKind.P_VALUE:
             row.append(_fmt(math.nan if math.isnan(cand.score) else -cand.key))
@@ -332,7 +332,7 @@ def _cmd_experiment(args) -> int:
         written += f"wrote {path}\n"
     if args.name == "fig3":  # after the loop, ``curve`` is fig3's one curve
         written += "fraction favoring 2 states at n=%g: %s\n" % (curve.x_values[-1], " ".join(
-            f"{m}={curve.fractions[m][-1]:.3f}" for m in curve.measure_names))
+            f"{m}={fr[-1]:.3f}" for m, fr in curve.fractions.items()))
     sys.stdout.write(written)
     return EXIT_OK
 

@@ -96,7 +96,7 @@ def _prior_mean(t: CountTable, q: ProbTable | None) -> tuple[float, bool]:
             f"prior shape {q.probs.shape} does not match table shape {t.counts.shape}"
         )
     field, used_safe = log_ratio_field(t)
-    weight = 1.0 / (t.card_a * t.card_b) if q is None else q.probs
+    weight = 1.0 / t.counts.size if q is None else q.probs
     return float((weight * field).sum()), used_safe
 
 

@@ -133,20 +133,16 @@ class NaiveBayesModel:
         return 0.25 - float(self.z)
 
 
-def _entropy_terms(*ps: float) -> float:
-    return -sum(p * math.log(p) for p in ps if p > 0.0)
-
-
 def nb_true_mi(model: NaiveBayesModel, which: str) -> float:
     """Exact mutual information between the class and one feature."""
     if which == "binary":
         p1 = sum(P_BINARY_GIVEN_CLASS) / N_CLASSES
-        h_marginal = _entropy_terms(p1, 1.0 - p1)
-        h_conditional = sum(_entropy_terms(p, 1.0 - p) for p in P_BINARY_GIVEN_CLASS) / N_CLASSES
+        h_marginal = meas.entropy([p1, 1.0 - p1])
+        h_conditional = sum(meas.entropy([p, 1.0 - p]) for p in P_BINARY_GIVEN_CLASS) / N_CLASSES
         return h_marginal - h_conditional
     if which == "four_state":
         # feature marginal is uniform by symmetry
-        return math.log(4.0) - _entropy_terms(model.p_same, *([model.p_other] * 3))
+        return math.log(4.0) - meas.entropy([model.p_same, *([model.p_other] * 3)])
     raise ValueError(f"which must be 'binary' or 'four_state', got {which!r}")
 
 
@@ -169,8 +165,6 @@ def _sample_nb_stacks(model: NaiveBayesModel, n: int,
                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n joint draws of (class, all 20 features), as a (10, 2, 4) binary and a
     (10, 4, 4) four-state stack of feature-by-class count tables."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     y = gen.integers(0, N_CLASSES, size=n)
     x_bin = gen.random((n, N_BINARY_FEATURES)) < np.asarray(P_BINARY_GIVEN_CLASS)[y][:, None]
     same = gen.random((n, N_FOUR_STATE_FEATURES)) < model.p_same
@@ -184,6 +178,15 @@ def _sample_nb_stacks(model: NaiveBayesModel, n: int,
             by_code[:, _FOUR_STATE_CODE, np.arange(N_CLASSES)])
 
 
+def _check_nb_n(n: int) -> int:
+    """``n`` once the sampler can draw that many samples: from 1 to :data:`FIG3_MAX_N`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > FIG3_MAX_N:
+        raise ValueError(f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, got {n}")
+    return n
+
+
 def sample_nb_dataset(model: NaiveBayesModel, n: int,
                       gen: np.random.Generator) -> list[tuple[str, CountTable]]:
     """n joint draws of (class, all 20 features), as per-feature tables vs class.
@@ -191,9 +194,11 @@ def sample_nb_dataset(model: NaiveBayesModel, n: int,
     Feature ids are ``x01``..``x10`` (binary) and ``x11``..``x20``
     (four-state); each table has the feature on rows and the class on
     columns. Draw order is fixed (class block, binary block, four-state
-    block) so a given generator state always yields the same dataset.
+    block) so a given generator state always yields the same dataset. No n may
+    exceed :data:`FIG3_MAX_N`.
     """
-    binary, four = _sample_nb_stacks(model, int(_integers(n, "n must be an integer")), gen)
+    n = _check_nb_n(int(_integers(n, "n must be an integer")))
+    binary, four = _sample_nb_stacks(model, n, gen)
     return [(f"x{j + 1:02d}", from_counts(c)) for j, c in enumerate((*binary, *four))]
 
 
@@ -205,14 +210,14 @@ def sample_nb_dataset(model: NaiveBayesModel, n: int,
 class ExperimentCurve:
     """Fractions favoring the 2-state hypothesis along an x grid.
 
-    ``fractions[measure][i]`` is favor-count / replicates at ``x_values[i]``.
+    ``fractions[measure][i]`` is favor-count / replicates at ``x_values[i]``, with
+    the measures in the order they ran.
     ``p_underflow``, present when the p-value measure ran, counts replicates
     per x where the naive p-value was exactly 0 for both hypotheses.
     """
 
     x_label: str
     x_values: tuple[float, ...]
-    measure_names: tuple[str, ...]
     fractions: dict = field(default_factory=dict)
     replicates: int = 0
     master_seed: int = 0
@@ -248,7 +253,6 @@ def _curve(x_label: str, x_values, kinds, counts, underflow, replicates: int, ma
     return ExperimentCurve(
         x_label=x_label,
         x_values=tuple(x_values),
-        measure_names=tuple(k.value for k in kinds),
         fractions={k.value: tuple(c / replicates for c in row) for k, row in zip(kinds, counts)},
         replicates=replicates,
         master_seed=int(master_seed),
@@ -330,9 +334,7 @@ def run_feature_selection_experiment(
     """
     model = NaiveBayesModel(float(z))
     replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
-    if (n_max := max(n_values, default=1)) > FIG3_MAX_N:
-        raise ValueError(f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, "
-                         f"got {n_max}")
+    _check_nb_n(max(n_values, default=1))
     # footnote convention: when the naive p-value dies for both winners, the
     # plotted choice is the arity the true model does NOT favor at this z
     four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")
@@ -370,13 +372,13 @@ def format_curve(curve: ExperimentCurve) -> str:
     lines = ["# depscore experiment curve", f"# master_seed: {curve.master_seed}",
              f"# replicates: {curve.replicates}"]
     lines += [f"# {key}: {curve.config[key]}" for key in sorted(curve.config)]
-    header = [curve.x_label] + list(curve.measure_names)
+    header = [curve.x_label] + list(curve.fractions)
     if curve.p_underflow is not None:
         header.append("p_underflow")
     lines.append("\t".join(header))
     for i, x in enumerate(curve.x_values):
         row = [f"{x:g}"]
-        row += [f"{curve.fractions[m][i]:.6f}" for m in curve.measure_names]
+        row += [f"{fr[i]:.6f}" for fr in curve.fractions.values()]
         if curve.p_underflow is not None:
             row.append(str(curve.p_underflow[i]))
         lines.append("\t".join(row))

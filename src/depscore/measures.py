@@ -179,7 +179,8 @@ def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
 
     ``mi`` is the plug-in MI, ``d`` the dof, ``n`` the sample size and ``h_bar``
     the mean marginal entropy, which only ``ni`` reads (a ``ValueError`` when
-    missing). The key orders candidates, higher meaning more dependent: it is
+    missing, as is a ``kind`` that is not a :class:`MeasureKind`, such as the
+    name ``"si"``). The key orders candidates, higher meaning more dependent: it is
     the score itself, except that the p-value is keyed on ``-log p``, which
     stays finite and ordered after the naive value rounds to 0.
 
@@ -193,9 +194,14 @@ def score(kind: MeasureKind, mi, d, n, h_bar=None) -> tuple:
     """
     if kind is MeasureKind.MI_PLUGIN:
         return mi, mi
-    if kind is MeasureKind.NI and h_bar is None:
-        raise ValueError("ni needs h_bar, the mean marginal entropy")
-    ok = d >= 1 if kind in _NEEDS_DOF else h_bar > 0.0
+    if kind in _NEEDS_DOF:
+        ok = d >= 1
+    elif kind is MeasureKind.NI:
+        if h_bar is None:
+            raise ValueError("ni needs h_bar, the mean marginal entropy")
+        ok = h_bar > 0.0
+    else:
+        raise ValueError(f"unknown measure kind {kind!r}; pass a MeasureKind")
     if type(ok) is not np.ndarray:
         return _formula(kind, mi, d, n, h_bar) if ok else (math.nan, -math.inf)
     scores, keys = np.full(ok.shape, math.nan), np.full(ok.shape, -math.inf)

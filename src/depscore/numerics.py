@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .tables import _integers
+
 __all__ = [
     "substream",
     "reg_gamma_upper",
@@ -37,11 +39,14 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     an experiment run in any order (or in parallel) without changing output.
     A generator is single-owner: derive one per consumer, never share one.
     """
-    if not (0 <= int(master_seed) < 2 ** 64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
-    if int(index) < 0:
-        raise ValueError("substream index must be nonnegative")
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    bad_seed = f"seed must be an unsigned 64-bit integer, got {master_seed}"
+    bad_index = "substream index must be a nonnegative integer"
+    master_seed, index = int(_integers(master_seed, bad_seed)), int(_integers(index, bad_index))
+    if not 0 <= master_seed < 2 ** 64:
+        raise ValueError(bad_seed)
+    if index < 0:
+        raise ValueError(bad_index)
+    seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -22,7 +22,6 @@ from .tables import CountTable, DofMode, dof, merge_states
 
 __all__ = [
     "ScoredCandidate",
-    "Ranking",
     "score_candidates",
     "rank",
     "si_threshold",
@@ -44,14 +43,6 @@ class ScoredCandidate:
     score: float
     key: float
     dof: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """Candidates in non-increasing key order, ties broken as the module docstring says."""
-
-    candidates: tuple[ScoredCandidate, ...]
 
 
 def score_candidates(tables, kind: MeasureKind,
@@ -66,14 +57,13 @@ def score_candidates(tables, kind: MeasureKind,
     h_bar = np.array([measures.mean_marginal_entropy(t) for _, t in tables], dtype=float) \
         if kind is MeasureKind.NI else None
     scores, keys = measures.score(kind, mi, d, n, h_bar)
-    return [ScoredCandidate(id=cid, score=float(s), key=float(k), dof=int(dd), n=t.n)
-            for (cid, t), s, k, dd in zip(tables, scores, keys, d)]
+    return [ScoredCandidate(id=cid, score=float(s), key=float(k), dof=int(dd))
+            for (cid, _), s, k, dd in zip(tables, scores, keys, d)]
 
 
-def rank(candidates) -> Ranking:
-    """Stable ordering by key descending with the documented tie break."""
-    ordered = sorted(candidates, key=lambda c: (-c.key, c.dof, c.id))
-    return Ranking(candidates=tuple(ordered))
+def rank(candidates) -> tuple[ScoredCandidate, ...]:
+    """The candidates in non-increasing key order, ties broken as the module docstring says."""
+    return tuple(sorted(candidates, key=lambda c: (-c.key, c.dof, c.id)))
 
 
 def si_threshold(alpha: float) -> float:

@@ -63,14 +63,6 @@ class CountTable:
     counts: np.ndarray
 
     @property
-    def card_a(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def card_b(self) -> int:
-        return int(self.counts.shape[1])
-
-    @property
     def n(self) -> int:
         return int(self.counts.sum())
 
@@ -176,7 +168,10 @@ def dof(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> int:
 
 
 def _check_partition(part, card: int) -> list[list[int]]:
-    groups = [list(g) for g in part]
+    """``part``'s groups as lists of Python ints; a state is an integer as in
+    :func:`from_samples`, so ``True`` is state 1 and ``1.0`` is too."""
+    groups = [[int(s) for s in _integers(list(g), "state indices must be integers").tolist()]
+              for g in part]
     if len(groups) < 2:
         raise ValueError("a partition must have at least 2 groups")
     seen = sorted(s for g in groups for s in g)
@@ -187,8 +182,9 @@ def _check_partition(part, card: int) -> list[list[int]]:
 
 def merge_states(t: CountTable, part_a, part_b) -> CountTable:
     """Merge states by summing cells within partition groups; the total is unchanged."""
-    ga = _check_partition(part_a, t.card_a)
-    gb = _check_partition(part_b, t.card_b)
+    card_a, card_b = t.counts.shape
+    ga = _check_partition(part_a, card_a)
+    gb = _check_partition(part_b, card_b)
     out = np.zeros((len(ga), len(gb)), dtype=np.int64)
     for i, rows in enumerate(ga):
         for j, cols in enumerate(gb):

@@ -217,7 +217,7 @@ def test_criterion_09_p_value_instability_exhibit():
     scored = score_candidates(tables, MeasureKind.P_VALUE)
     keys = [c.key for c in scored]
     order_ok = len(set(keys)) == 5
-    ranked = [c.id for c in rank(scored).candidates]
+    ranked = [c.id for c in rank(scored)]
     order_ok &= ranked == ["cand4", "cand3", "cand2", "cand1", "cand0"]
     verdict(9, "p-value instability exhibit",
             stat_ok and naive_ok and log_ok and order_ok,

@@ -15,7 +15,7 @@ MODULES = ("ess", "experiments", "measures", "numerics", "ranking", "tables")
 # the union of the six modules' __all__ lists; editing it is editing the public API
 PUBLIC = frozenset("""
     CountTable DependenceReport DofMode EssResult ExperimentCurve MeasureKind
-    NaiveBayesModel NoRootError ProbTable Ranking ScoredCandidate bisect_root
+    NaiveBayesModel NoRootError ProbTable ScoredCandidate bisect_root
     compare_discretizations conditional_entropy constraint_lhs constraint_rhs dof
     entropy fig2_distribution format_curve from_counts from_samples
     log_ratio_field make_prob_table mean_marginal_entropy merge_states

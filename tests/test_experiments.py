@@ -22,7 +22,7 @@ from depscore import (
     substream,
 )
 from depscore import experiments
-from depscore.experiments import FIG2_PARTITIONS, _sample_nb_stacks
+from depscore.experiments import FIG2_PARTITIONS, FIG3_MAX_N, _sample_nb_stacks
 from depscore.measures import score, stack_stats
 from depscore.ranking import refinement_increment, refinement_margin, selection_margin
 from depscore.tables import DofMode, merge_states
@@ -115,8 +115,7 @@ def test_sample_nb_dataset_shapes_and_totals():
     assert [cid for cid, _ in tabs] == [f"x{i:02d}" for i in range(1, 21)]
     for cid, t in tabs:
         assert t.n == 500
-        assert t.card_b == 4
-        assert t.card_a == (2 if int(cid[1:]) <= 10 else 4)
+        assert t.counts.shape == (2 if int(cid[1:]) <= 10 else 4, 4)
 
 
 def test_sample_nb_dataset_deterministic_copy_at_z_max():
@@ -135,6 +134,17 @@ def test_sample_nb_dataset_binary_rate():
     for _, t in tabs[:10]:
         rate = t.counts[1, :].sum() / n
         assert abs(rate - 0.45) <= 4 * sigma
+
+
+@pytest.mark.parametrize("n", [FIG3_MAX_N + 1, 10**15, 2**63])
+def test_sample_nb_dataset_caps_n_as_fig3_does(n):
+    # rejected before anything is drawn: the generator is left untouched
+    gen = substream(1, 0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match=f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} "
+                                         f"for feature selection, got {n}$"):
+        sample_nb_dataset(NaiveBayesModel(0.1), n, gen)
+    assert gen.bit_generator.state == state
 
 
 def test_sample_nb_dataset_determinism():
@@ -163,6 +173,8 @@ def test_sample_nb_dataset_determinism():
                  "n must be an integer", id="nb-dataset-n"),
     pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 0, substream(1, 0)),
                  "n must be >= 1", id="nb-dataset-n-zero"),
+    pytest.param(lambda: run_discretization_experiment(master_seed=1.5, replicates=1),
+                 "seed must be an unsigned 64-bit integer", id="fig2-seed"),
     pytest.param(lambda: nb_true_mi(NaiveBayesModel(0.1), "other"),
                  "which must be 'binary' or 'four_state'", id="nb-true-mi-which"),
     # alpha is checked under every measure, not only where a margin uses it

@@ -15,6 +15,7 @@ import pytest
 from depscore import (
     DofMode,
     MeasureKind,
+    compare_discretizations,
     conditional_entropy,
     dof,
     entropy,
@@ -26,8 +27,10 @@ from depscore import (
     p_value,
     r_score,
     report,
+    run_discretization_experiment,
     sample_table,
     score,
+    score_candidates,
     standardized_information,
     substream,
 )
@@ -96,7 +99,7 @@ def test_mi_plugin_bounds():
     for _ in range(200):
         t = random_count_table(gen, max_n=2000)
         mi = mi_plugin(t)
-        assert 0.0 <= mi <= min(math.log(t.card_a), math.log(t.card_b)) + 1e-12
+        assert 0.0 <= mi <= math.log(min(t.counts.shape)) + 1e-12
 
 
 def test_mi_bias_corrected():
@@ -226,10 +229,21 @@ def test_normalized_mi_degenerate():
     assert normalized_mi(from_counts([[5, 5], [0, 0]])) == 0.0   # one marginal has entropy
 
 
-def test_ni_without_h_bar_names_it():
+def test_score_rejects_missing_h_bar_and_unknown_kinds():
     for mi, d, n in ((0.1, 1, 40), (np.array([0.1, 0.2]), np.array([1, 1]), np.array([40, 50]))):
         with pytest.raises(ValueError, match="h_bar"):
             score(MeasureKind.NI, mi, d, n)
+        # a measure's name is not a MeasureKind: no rule is guessed for it
+        for kind in ("ni", "si", "mi_bc", "p_value", "mi_plugin", None):
+            with pytest.raises(ValueError, match="unknown measure kind"):
+                score(kind, mi, d, n, 0.5 if np.ndim(mi) == 0 else np.array([0.5, 0.5]))
+    table = from_counts([[15, 9, 12, 11], [12, 17, 18, 7], [12, 12, 11, 13], [19, 12, 7, 13]])
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        compare_discretizations(table, ([[0, 1], [2, 3]],) * 2, "si")
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        score_candidates([("x", table)], "mi_bc")
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        run_discretization_experiment(replicates=1, n_values=[25], measure_kinds=["si"])
 
 
 def test_normalized_mi_in_unit_interval():

@@ -202,9 +202,12 @@ def test_stream_determinism():
     assert substream(1234, 0).random(20).tolist() == ref.random(20).tolist()
 
 
-@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
+# a non-integer seed or index is an error, not truncated to seed 1 or index 0
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (1.5, 0), (1, -0.5),
+                                         (1, 0.5)])
 def test_substream_rejects_bad_seed_or_index(seed, index):
-    with pytest.raises(ValueError):
+    # each case has one bad argument: the seed where the index is 0
+    with pytest.raises(ValueError, match="seed must be" if index == 0 else "index must be"):
         substream(seed, index)
 
 

@@ -26,7 +26,7 @@ from conftest import random_count_table
 
 def test_from_counts_total():
     t = from_counts([[2, 1], [1, 2]])
-    assert t.n == 6 and t.card_a == 2 and t.card_b == 2
+    assert t.n == 6 and t.counts.shape == (2, 2)
 
 
 def test_from_counts_all_ones():
@@ -205,6 +205,16 @@ def test_merge_states_rejects_bad_partitions():
         merge_states(t, ((0, 1), (1, 2, 3)), ((0, 1), (2, 3)))   # overlap
     with pytest.raises(ValueError):
         merge_states(t, ((0, 1), (2,)), ((0, 1), (2, 3)))        # gap
+    with pytest.raises(ValueError, match="state indices must be integers"):
+        merge_states(t, ((0, 1.5), (2, 3)), ((0, 1), (2, 3)))    # not a state
+
+
+def test_merge_states_reads_states_as_from_samples_does():
+    # False and True are states 0 and 1, and 1.0 is state 1, not a boolean mask
+    # or an IndexError
+    t = from_counts([[3, 1, 2], [2, 5, 4], [1, 1, 7]])
+    for part_a in (((False,), (True, 2)), ((0,), (1.0, 2))):
+        assert merge_states(t, part_a, ((0, 1), (2,))).counts.tolist() == [[4, 2], [9, 11]]
 
 
 # ---------------------------------------------------------------------------
