@@ -1,15 +1,19 @@
 """Command-line surface: ingestion, measure reports, ranking, equivalent
 sample size, and experiment execution.
 
-Two input formats are understood, and one reader splits both. A *count
-table file* is a delimiter-separated integer matrix; `--prior FILE` is read
-as one too, so prior weights must be integers. A *dataset file* has a header
-row of variable names followed by one sample per row of arbitrary categorical
-labels; labels map to dense indices in first-appearance order per column, and
-the mapping is echoed in output comments so sparse-label behavior is
-reproducible. `measure` reads its input as a dataset when `--pair` is given
-or a field of the first data row is not an integer, and as a count table
-otherwise. The reader's rules, the same for both formats:
+Two input formats are understood, and one function (`_lines`) holds the
+line rules of both. A *count table file* is a delimiter-separated integer
+matrix; `--prior FILE` is read as one too, so prior weights must be
+integers. A *dataset file* has a header row of variable names followed by
+one sample per row of arbitrary categorical labels; labels map to dense
+indices in first-appearance order per column, and the mapping is echoed in
+output comments so sparse-label behavior is reproducible. `measure` reads
+its input as a dataset when `--pair` is given or a field of the first data
+row is not an integer, and as a count table otherwise. Count tables, and
+the row `measure` sniffs, are split one line at a time; a dataset's samples
+are split a block of about `_BLOCK_FIELDS` fields at a time, from their
+bytes, and its labels are coded without one Python object per field. The
+rules, the same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
 - blank lines, and lines whose first non-blank character is `#`, are
@@ -49,10 +53,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -103,32 +107,58 @@ def _fmt(x) -> str:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _rows(path):
-    """Yield the nonempty fields of each data line of ``path``, one row at a time.
+# Fields of a dataset read at a time: enough that numpy's cost per call is spread
+# thin, few enough that a block's arrays stay near a megabyte.
+_BLOCK_FIELDS = 8192
+# the first 0..4 bytes of a little-endian 4-byte word
+_BYTE_MASKS = np.array([0, 0xFF, 0xFFFF, 0xFF_FFFF, 0xFFFF_FFFF], dtype=np.uint64)
+
+
+def _delimiter(first_line: str) -> str:
+    """The delimiter a file's first data line sets: comma, else tab, else space."""
+    return "," if "," in first_line else "\t" if "\t" in first_line else " "
+
+
+def _lines(path):
+    """Yield the data lines of ``path``; each splits on ``_delimiter`` of the first.
 
     The file is UTF-8; a byte-order mark at its start is dropped. Blank lines
-    and lines whose first non-blank character is ``#`` are skipped. The
-    delimiter is sniffed from the first row (comma, else tab, else runs of
-    whitespace), and every row must have as many fields as it.
+    and lines whose first non-blank character is ``#`` are skipped. When the
+    first line has neither a comma nor a tab, fields are split on runs of
+    whitespace, and each line is yielded with its fields joined by one space.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        delim = width = None
+        spaces = None
         for line in fh:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            if width is None:
-                delim = "," if "," in line else "\t" if "\t" in line else None
-            fields = [f for f in line.rstrip("\n").split(delim) if f]
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(f"{path}: row arity {len(fields)} != first row arity {width}")
-            yield fields
+            if spaces is None:
+                spaces = _delimiter(line) == " "
+            yield " ".join(line.split()) if spaces else line.rstrip("\n")
 
 
-def _count_table(rows, path) -> CountTable:
+def _arity_error(path, arity: int, width: int) -> ValueError:
+    return ValueError(f"{path}: row arity {arity} != first row arity {width}")
+
+
+def _rows(lines, path):
+    """Yield the nonempty fields of each of ``lines``; every row must have as
+    many fields as the first."""
+    delim = width = None
+    for line in lines:
+        if width is None:
+            delim = _delimiter(line)
+        fields = [f for f in line.split(delim) if f]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise _arity_error(path, len(fields), width)
+        yield fields
+
+
+def _count_table(lines, path) -> CountTable:
     counts = []
-    for fields in rows:
+    for fields in _rows(lines, path):
         try:
             counts.append([int(f) for f in fields])
         except ValueError:
@@ -140,7 +170,7 @@ def _count_table(rows, path) -> CountTable:
 
 def read_count_table(path) -> CountTable:
     """Parse a delimiter-separated integer matrix into a CountTable."""
-    return _count_table(_rows(path), path)
+    return _count_table(_lines(path), path)
 
 
 class Dataset:
@@ -169,26 +199,96 @@ class Dataset:
         )
 
 
-def _dataset(rows, path) -> Dataset:
-    names = next(rows, None)
-    first = next(rows, None)
-    if first is None:
+def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: list,
+               labels: list) -> np.ndarray:
+    """Ids of the labels ``text[s:s + n]``: equal exactly for equal labels, over
+    every call that shares ``rounds`` and ``labels``.
+
+    A label is read 4 bytes at a time, so ``text`` must hold 3 bytes past its
+    last label. Round 0's key is the label's byte length and its first 4
+    bytes; round r's key is its id from round r - 1 and its next 4 bytes.
+    ``rounds[r]`` holds round r's known keys, sorted, with their ids; a key not
+    yet known gets the next id. ``labels[i]`` is the label that id ``i`` ends,
+    or None for an id that only starts longer labels.
+    """
+    buf = np.frombuffer(text, dtype=np.uint8)
+    words = np.ndarray(buf.size - 3, dtype="<u4", buffer=buf, strides=(1,))
+    ids = lengths.astype(np.uint64)
+    todo = slice(None)
+    for r in itertools.count():
+        at, rest = starts[todo] + 4 * r, lengths[todo] - 4 * r
+        keys = (ids[todo] << 32) | (words[at] & _BYTE_MASKS[np.minimum(rest, 4)])
+        if r == len(rounds):  # an end marker above every key (UTF-8 has no 0xFF byte)
+            rounds.append((np.array([2**64 - 1], dtype=np.uint64), np.zeros(1, np.uint64)))
+        known, known_ids = rounds[r]
+        pos = np.searchsorted(known, keys)
+        if (miss := known[pos] != keys).any():
+            new, first = np.unique(keys[miss], return_index=True)
+            first = np.flatnonzero(miss)[first]
+            labels.extend(text[s - 4 * r:s + n].decode() if n <= 4 else None
+                          for s, n in zip(at[first].tolist(), rest[first].tolist()))
+            where = np.searchsorted(known, new)
+            rounds[r] = known, known_ids = (np.insert(known, where, new), np.insert(
+                known_ids, where, np.arange(len(labels) - new.size, len(labels))))
+            pos = np.searchsorted(known, keys)
+        ids[todo] = known_ids[pos]
+        todo = np.flatnonzero(lengths > 4 * (r + 1))
+        if not todo.size:
+            return ids
+
+
+def _dataset(lines, path) -> Dataset:
+    head = list(itertools.islice(lines, 2))  # the header and the first sample
+    rows = list(_rows(head, path))
+    if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one sample row")
+    names = rows[0]
     if len(names) < 2:
         raise ValueError(f"{path}: need at least two columns")
     if repeated := next((nm for i, nm in enumerate(names) if nm in names[:i]), None):
         raise ValueError(f"{path}: column name {repeated!r} is repeated in the header")
-    maps: list[dict[str, int]] = [dict() for _ in names]
-    cols: list[list[int]] = [[] for _ in names]
-    for fields in chain([first], rows):
-        for m, c, val in zip(maps, cols, fields):
-            c.append(m.setdefault(val, len(m)))
-    return Dataset(names, [np.asarray(c, dtype=np.int64) for c in cols], [list(m) for m in maps])
+    # the samples, a block of lines at a time: fields end at a delimiter or a newline,
+    # and each label becomes an id that is the same in every block
+    width, delim = len(names), ord(_delimiter(head[0]))
+    lines = itertools.chain(head[1:], lines)
+    rounds: list = []
+    labels: list = []
+    blocks = []
+    # a block also holds an eighth as many fields as there are ids, so that the
+    # sorted keys grow by a share at a time and merging into them stays linear
+    while block := list(itertools.islice(
+            lines, max(1, max(_BLOCK_FIELDS, len(labels) // 8) // width))):
+        text = ("\n".join(block) + "\n\0\0\0").encode()
+        buf = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero((buf == delim) | (buf == 10))
+        lengths = np.diff(ends, prepend=-1) - 1
+        keep = lengths > 0
+        arity = np.diff(np.cumsum(keep)[buf[ends] == 10], prepend=0)
+        if (bad := np.flatnonzero(arity != width)).size:
+            raise _arity_error(path, int(arity[bad[0]]), width)
+        ids = _label_ids(text, (ends - lengths)[keep], lengths[keep], rounds, labels)
+        blocks.append(ids.astype(np.int32).reshape(-1, width).T)
+    ids = np.concatenate(blocks, axis=1)  # one row per column
+    del blocks
+    # each column's codes replace its ids; codes and labels follow each label's first row
+    n = ids.shape[1]
+    rows_at = np.arange(n)
+    column_labels = []
+    for col in ids:
+        first = np.full(len(labels), n)
+        np.minimum.at(first, col, rows_at)
+        seen = np.flatnonzero(first < n)
+        seen = seen[np.argsort(first[seen])]
+        code = np.zeros(len(labels), dtype=np.int32)
+        code[seen] = np.arange(seen.size)
+        col[:] = code[col]
+        column_labels.append([labels[i] for i in seen.tolist()])
+    return Dataset(names, list(ids), column_labels)
 
 
 def read_dataset(path) -> Dataset:
     """Parse a header-plus-samples categorical data file."""
-    return _dataset(_rows(path), path)
+    return _dataset(_lines(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +296,30 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _cmd_measure(args) -> int:
-    rows = _rows(args.input)
-    head = next(rows, None)
+    lines = _lines(args.input)
+    head = next(lines, None)
     if head is None:
         raise ValueError(f"{args.input}: empty input")
-    rows = chain([head], rows)
+    lines = itertools.chain([head], lines)
     try:  # a count table, unless --pair names columns or the first row is not all integers
-        [int(f) for f in head]
+        [int(f) for f in next(_rows([head], args.input))]
         dataset = bool(args.pair)
     except ValueError:
         dataset = True
-    lines = []
+    notes = []
     if dataset:
-        ds = _dataset(rows, args.input)
+        ds = _dataset(lines, args.input)
         pair = args.pair or ds.names
         if len(pair) != 2:
             raise ValueError("--pair NAME NAME required for datasets with more than two columns")
         table = ds.pair_table(*pair)
-        lines = [f"# labels {nm}: " + " ".join(ds.labels[ds.column(nm)]) for nm in pair]
+        notes = [f"# labels {nm}: " + " ".join(ds.labels[ds.column(nm)]) for nm in pair]
     else:
-        table = _count_table(rows, args.input)
+        table = _count_table(lines, args.input)
     rep = report(table, DofMode(args.dof))
     if any(math.isnan(getattr(rep, f.name)) for f in fields(rep)):
-        lines.append(_UNDEFINED_NOTE)
-    _emit("".join(line + "\n" for line in lines) + _record(rep), args.out)
+        notes.append(_UNDEFINED_NOTE)
+    _emit("".join(line + "\n" for line in notes) + _record(rep), args.out)
     return EXIT_OK
 
 

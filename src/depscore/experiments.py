@@ -59,7 +59,7 @@ import numpy as np
 
 from . import measures as meas
 from .measures import MeasureKind
-from .numerics import bisect_root, substream
+from .numerics import _seed, bisect_root, substream
 from .ranking import first_best, refinement_increment, refinement_margin, selection_margin
 from .tables import CountTable, DofMode, ProbTable, _integers, from_counts, make_prob_table
 
@@ -225,7 +225,11 @@ class ExperimentCurve:
     p_underflow: tuple[int, ...] | None = None
 
 
-def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]:
+def _study(replicates: int, measure_kinds, n_values,
+           master_seed) -> tuple[int, tuple, tuple, int]:
+    """The study's arguments, checked before anything is drawn; the seed is
+    checked even when no replicate would draw from it."""
+    master_seed = _seed(master_seed)
     replicates = int(_integers(replicates, "replicates must be an integer"))
     kinds = tuple(measure_kinds)
     n_values = tuple(int(_integers(n, "n must be an integer")) for n in n_values)
@@ -237,7 +241,7 @@ def _study(replicates: int, measure_kinds, n_values) -> tuple[int, tuple, tuple]
         raise ValueError(f"n must be below 2**63, got {max(n_values)}")
     if len(set(kinds)) < len(kinds):
         raise ValueError("measures must be distinct")
-    return replicates, kinds, n_values
+    return replicates, kinds, n_values, master_seed
 
 
 def _blocks(replicates: int, tables: int) -> list[range]:
@@ -255,7 +259,7 @@ def _curve(x_label: str, x_values, kinds, counts, underflow, replicates: int, ma
         x_values=tuple(x_values),
         fractions={k.value: tuple(c / replicates for c in row) for k, row in zip(kinds, counts)},
         replicates=replicates,
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         config={**config, "alpha": repr(float(alpha)), "dof_mode": mode.value},
         p_underflow=tuple(underflow) if MeasureKind.P_VALUE in kinds else None,
     )
@@ -281,7 +285,8 @@ def run_discretization_experiment(
     if z_grid is None:
         z_grid = tuple(round(0.01 * i, 10) for i in range(11))
     z_grid = tuple(float(z) for z in z_grid)
-    replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
+    replicates, kinds, n_values, master_seed = _study(replicates, measure_kinds, n_values,
+                                                      master_seed)
     if len(set(n_values)) < len(n_values):
         raise ValueError("n_values must be distinct: each gets its own curve")
     # one replicate's tables, in draw order: z-major, then n
@@ -333,7 +338,8 @@ def run_feature_selection_experiment(
     significance margin. No n may exceed :data:`FIG3_MAX_N`.
     """
     model = NaiveBayesModel(float(z))
-    replicates, kinds, n_values = _study(replicates, measure_kinds, n_values)
+    replicates, kinds, n_values, master_seed = _study(replicates, measure_kinds, n_values,
+                                                      master_seed)
     _check_nb_n(max(n_values, default=1))
     # footnote convention: when the naive p-value dies for both winners, the
     # plotted choice is the arity the true model does NOT favor at this z

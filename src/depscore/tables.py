@@ -174,6 +174,8 @@ def _check_partition(part, card: int) -> list[list[int]]:
               for g in part]
     if len(groups) < 2:
         raise ValueError("a partition must have at least 2 groups")
+    if [] in groups:
+        raise ValueError(f"partition group {groups.index([])} is empty")
     seen = sorted(s for g in groups for s in g)
     if seen != list(range(card)):
         raise ValueError(f"partition must cover every state of 0..{card - 1} exactly once")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -118,6 +119,23 @@ def test_read_dataset_matches_reference(tmp_path, delim):
         t = ds.pair_table(names[a], names[b])
         assert t.counts.tolist() == reference_pair_counts(
             cols[a], cols[b], len(labels[a]), len(labels[b]))
+
+
+def test_read_dataset_peaks_below_one_object_per_field(tmp_path):
+    # 5,000 rows x 101 columns of 2-byte labels. Read one Python object per
+    # field, this file peaked at 8.36 MB under tracemalloc (Python 3.11, numpy 2.4).
+    rows = np.random.default_rng(0).integers(0, 6, (5000, 101)).tolist()
+    f = tmp_path / "wide.csv"
+    f.write_text(",".join(f"v{j}" for j in range(101)) + "\n"
+                 + "".join(",".join(f"s{v}" for v in row) + "\n" for row in rows))
+    tracemalloc.start()
+    try:
+        ds = read_dataset(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c[:3].tolist() for c in ds.columns[:2]] == [[0, 1, 2], [0, 1, 1]]
+    assert peak < 8.36e6
 
 
 def test_dataset_row_with_hash_first_label_is_a_comment(tmp_path):

@@ -175,6 +175,14 @@ def test_sample_nb_dataset_determinism():
                  "n must be >= 1", id="nb-dataset-n-zero"),
     pytest.param(lambda: run_discretization_experiment(master_seed=1.5, replicates=1),
                  "seed must be an unsigned 64-bit integer", id="fig2-seed"),
+    # with no sample sizes no replicate draws, so only a check up front sees the seed
+    pytest.param(lambda: run_feature_selection_experiment(master_seed=1.5, n_values=(),
+                                                          replicates=1),
+                 "seed must be an unsigned 64-bit integer", id="fig3-seed-no-n"),
+    pytest.param(lambda: run_discretization_experiment(master_seed=2**70, n_values=()),
+                 "seed must be an unsigned 64-bit integer", id="fig2-seed-no-n"),
+    pytest.param(lambda: run_feature_selection_experiment(master_seed=-1, replicates=0),
+                 "seed must be an unsigned 64-bit integer", id="fig3-seed-first"),
     pytest.param(lambda: nb_true_mi(NaiveBayesModel(0.1), "other"),
                  "which must be 'binary' or 'four_state'", id="nb-true-mi-which"),
     # alpha is checked under every measure, not only where a margin uses it

@@ -1,0 +1,140 @@
+"""``read_dataset`` against a reference reader that splits one line at a time.
+
+The reference keeps the reading rules of the command line: UTF-8 with an
+optional byte-order mark, blank and ``#`` lines skipped, the delimiter
+sniffed from the first line, empty fields dropped, every row as wide as the
+first, and labels coded per column in order of first appearance. The
+generated files mix comma, tab and whitespace delimiters, repeated
+delimiters and delimiters at either end of a line, comment and blank lines,
+CRLF line endings and labels of 1-13 UTF-8 bytes (non-ASCII and NUL among
+them, and labels that differ only after their first 4 or 8 bytes or by a
+trailing NUL). Longer labels first appear in later rows, and the reader takes
+blocks of as few as one line, so they first appear in a later block. At
+times a file has one or two rows of the wrong arity or a repeated header
+name, and then both readers must raise the same message.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from depscore import cli  # noqa: E402
+from depscore.cli import read_dataset  # noqa: E402
+
+# characters of 1 to 4 UTF-8 bytes, NUL and '#' among them
+LABEL_CHARS = "ab#0\0éß€𝄞"
+# what a label may hold besides LABEL_CHARS, for each delimiter (never the delimiter)
+EXTRA_CHARS = {",": "\t \x0b\u2028", "\t": ", \x85", " ": ","}
+# what separates two fields, and what a line may start or end with
+SEPARATORS = {",": [",", ",,"], "\t": ["\t", "\t\t"], " ": [" ", "  ", "\t", " \t\x0b"]}
+EDGES = {",": ["", ","], "\t": ["", "\t"], " ": ["", " ", "\t"]}
+NOISE_LINES = ["", "  ", "\t", "# a comment", "  #x,y\tz"]
+
+
+def reference_rows(path):
+    """The nonempty fields of each data line, split as ``str`` one line at a time."""
+    with open(path, encoding="utf-8-sig") as fh:
+        delim = width = None
+        for line in fh:
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            if width is None:
+                delim = "," if "," in line else "\t" if "\t" in line else None
+            fields = [f for f in line.rstrip("\n").split(delim) if f]
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ValueError(f"{path}: row arity {len(fields)} != first row arity {width}")
+            yield fields
+
+
+def reference_read(path):
+    """``(names, labels, columns)``, or the message of the ValueError raised."""
+    rows = reference_rows(path)
+    try:
+        names, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: need a header row and at least one sample row")
+        if len(names) < 2:
+            raise ValueError(f"{path}: need at least two columns")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{path}: column name {name!r} is repeated in the header")
+        maps = [{} for _ in names]
+        columns = [[] for _ in names]
+        for row in [first, *rows]:
+            for m, c, label in zip(maps, columns, row):
+                c.append(m.setdefault(label, len(m)))
+    except ValueError as exc:
+        return str(exc)
+    return names, [list(m) for m in maps], columns
+
+
+@st.composite
+def dataset_files(draw):
+    """``(file bytes, lines per block or None for the default, header width)``."""
+    delim = draw(st.sampled_from(sorted(SEPARATORS)))
+    def at_most_13_bytes(s):
+        return s.encode()[:13].decode("utf-8", "ignore")
+
+    label = st.text(LABEL_CHARS + EXTRA_CHARS[delim], min_size=1, max_size=13).map(at_most_13_bytes)
+    # labels that share their first bytes, or differ only by a trailing NUL
+    stem = draw(label)
+    related = st.builds(lambda k, nul: at_most_13_bytes(stem[:k] + "\0" * nul),
+                        st.integers(1, len(stem)), st.integers(0, 1))
+    width = draw(st.integers(2, 4))
+    names = [f"v{j}" for j in range(width)]
+    # each column's labels, shortest first; row i draws from the first i + 1 of them
+    pools = [sorted(draw(st.lists(st.one_of(label, related), min_size=1, max_size=5, unique=True)),
+                    key=lambda s: len(s.encode())) for _ in names]
+    rows = [[pool[draw(st.integers(0, min(i, len(pool) - 1)))] for pool in pools]
+            for i in range(draw(st.integers(1, 10)))]
+    fault = draw(st.sampled_from([None, None, "arity", "header"]))
+    if fault == "arity":  # one or two rows; the first is the one named
+        for _ in range(draw(st.integers(1, 2))):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row.append(row[0]) if draw(st.booleans()) else row.pop()
+    elif fault == "header":
+        j = draw(st.integers(1, width - 1))
+        names[j] = names[draw(st.integers(0, j - 1))]
+
+    def line(fields, separators, edges):
+        return draw(st.sampled_from(edges)) + draw(st.sampled_from(separators)).join(fields) \
+            + draw(st.sampled_from(edges))
+
+    # the header alone sets the delimiter, so under whitespace it holds only spaces
+    header_seps, header_edges = (([" "], ["", " "]) if delim == " "
+                                 else (SEPARATORS[delim], EDGES[delim]))
+    lines = [line(names, header_seps, header_edges)]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
+        lines.append(line(row, SEPARATORS[delim], EDGES[delim]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + text).encode(), draw(st.sampled_from([1, 2, 3, None])), width
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("read") / "d.txt"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=dataset_files())
+def test_read_dataset_matches_a_per_line_reader(path, data):
+    text, block_lines, width = data
+    path.write_bytes(text)
+    expected = reference_read(path)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_lines:
+            mp.setattr(cli, "_BLOCK_FIELDS", block_lines * width)
+        try:
+            ds = read_dataset(path)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert (ds.names, ds.labels, [c.tolist() for c in ds.columns]) == expected

@@ -9,6 +9,8 @@ import pytest
 
 from depscore import (
     DofMode,
+    MeasureKind,
+    compare_discretizations,
     dof,
     from_counts,
     from_samples,
@@ -207,6 +209,18 @@ def test_merge_states_rejects_bad_partitions():
         merge_states(t, ((0, 1), (2,)), ((0, 1), (2, 3)))        # gap
     with pytest.raises(ValueError, match="state indices must be integers"):
         merge_states(t, ((0, 1.5), (2, 3)), ((0, 1), (2, 3)))    # not a state
+
+
+@pytest.mark.parametrize("part_a", [((0, 1, 2), ()), ((), (0, 1, 2)), ((0,), (1, 2), ())])
+def test_merge_states_rejects_an_empty_group(part_a):
+    # an empty group would get round the "at least 2 groups" rule: the merged table
+    # would have an empty state, and compare_discretizations would answer "coarse"
+    t = from_counts([[3, 1, 2], [2, 5, 4], [1, 1, 7]])
+    empty = f"partition group {part_a.index(())} is empty"
+    with pytest.raises(ValueError, match=empty):
+        merge_states(t, part_a, ((0, 1), (2,)))
+    with pytest.raises(ValueError, match=empty):
+        compare_discretizations(t, (part_a, ((0, 1), (2,))), MeasureKind.SI)
 
 
 def test_merge_states_reads_states_as_from_samples_does():
