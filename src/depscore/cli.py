@@ -12,8 +12,11 @@ its input as a dataset when `--pair` is given or a field of the first data
 row is not an integer, and as a count table otherwise. Count tables, and
 the row `measure` sniffs, are split one line at a time; a dataset's samples
 are split a block of about `_BLOCK_FIELDS` fields at a time, from their
-bytes, and its labels are coded without one Python object per field. The
-rules, the same for both formats:
+bytes, and its labels are coded without one Python object per field. Each
+dataset column is held as one contiguous int32 row of codes, which pair
+tables count directly: the codes are in range by construction, so only
+`tables.from_samples`, the entry point for state indices from outside,
+checks them. The rules, the same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
 - blank lines, and lines whose first non-blank character is `#`, are
@@ -71,7 +74,7 @@ from .experiments import (
 )
 from .measures import MeasureKind, report
 from .ranking import rank, score_candidates, si_threshold
-from .tables import CountTable, DofMode, from_counts, from_samples, make_prob_table
+from .tables import CountTable, DofMode, _freeze, from_counts, make_prob_table
 
 # printed once above a report or ranking that holds an undefined (nan) value
 _UNDEFINED_NOTE = ("# nan: undefined measure (dof-based measures need dof >= 1, ni a marginal "
@@ -174,35 +177,43 @@ def read_count_table(path) -> CountTable:
 
 
 class Dataset:
-    """Categorical dataset: column names, index-coded columns, label maps."""
+    """Categorical dataset: column names, index-coded columns, label maps.
+
+    ``columns[j]`` holds column ``j``'s codes, dense from 0 in order of first
+    appearance, as one contiguous int32 row of a ``(width, n)`` matrix, and
+    ``labels[j][k]`` is the label of code ``k``. :meth:`pair_table` counts two
+    such rows directly, since their codes are in range by construction;
+    :func:`tables.from_samples` is the entry point that checks state indices
+    from outside.
+    """
 
     def __init__(self, names: list[str], columns: list[np.ndarray],
                  labels: list[list[str]]):
         self.names = names
         self.columns = columns
         self.labels = labels
+        self._index = {nm: i for i, nm in enumerate(names)}
 
     def column(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"unknown column {name!r}; have {', '.join(self.names)}") from None
 
     def pair_table(self, name_a: str, name_b: str) -> CountTable:
         """The pair's count table; a column with one label is a 2-state variable
         whose second state is empty."""
         ia, ib = self.column(name_a), self.column(name_b)
-        return from_samples(
-            np.column_stack((self.columns[ia], self.columns[ib])),
-            card_a=max(len(self.labels[ia]), 2),
-            card_b=max(len(self.labels[ib]), 2),
-        )
+        card_a, card_b = max(len(self.labels[ia]), 2), max(len(self.labels[ib]), 2)
+        flat = np.bincount(self.columns[ia].astype(np.int64) * card_b + self.columns[ib],
+                           minlength=card_a * card_b)
+        return CountTable(_freeze(flat.reshape(card_a, card_b).astype(np.int64, copy=False)))
 
 
 def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: list,
                labels: list) -> np.ndarray:
-    """Ids of the labels ``text[s:s + n]``: equal exactly for equal labels, over
-    every call that shares ``rounds`` and ``labels``.
+    """Int32 ids of the labels ``text[s:s + n]``: equal exactly for equal labels,
+    over every call that shares ``rounds`` and ``labels``.
 
     A label is read 4 bytes at a time, so ``text`` must hold 3 bytes past its
     last label. Round 0's key is the label's byte length and its first 4
@@ -213,13 +224,12 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
     """
     buf = np.frombuffer(text, dtype=np.uint8)
     words = np.ndarray(buf.size - 3, dtype="<u4", buffer=buf, strides=(1,))
-    ids = lengths.astype(np.uint64)
-    todo = slice(None)
+    ids = np.empty(lengths.size, dtype=np.int32)
+    todo, at, rest, prev = slice(None), starts, lengths, lengths.astype(np.uint64)
     for r in itertools.count():
-        at, rest = starts[todo] + 4 * r, lengths[todo] - 4 * r
-        keys = (ids[todo] << 32) | (words[at] & _BYTE_MASKS[np.minimum(rest, 4)])
+        keys = (prev << 32) | (words.take(at) & _BYTE_MASKS[np.minimum(rest, 4)])
         if r == len(rounds):  # an end marker above every key (UTF-8 has no 0xFF byte)
-            rounds.append((np.array([2**64 - 1], dtype=np.uint64), np.zeros(1, np.uint64)))
+            rounds.append((np.array([2**64 - 1], dtype=np.uint64), np.zeros(1, np.int32)))
         known, known_ids = rounds[r]
         pos = np.searchsorted(known, keys)
         if (miss := known[pos] != keys).any():
@@ -235,6 +245,8 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
         todo = np.flatnonzero(lengths > 4 * (r + 1))
         if not todo.size:
             return ids
+        at, rest = starts[todo] + 4 * (r + 1), lengths[todo] - 4 * (r + 1)
+        prev = ids[todo].astype(np.uint64)
 
 
 def _dataset(lines, path) -> Dataset:
@@ -245,8 +257,11 @@ def _dataset(lines, path) -> Dataset:
     names = rows[0]
     if len(names) < 2:
         raise ValueError(f"{path}: need at least two columns")
-    if repeated := next((nm for i, nm in enumerate(names) if nm in names[:i]), None):
-        raise ValueError(f"{path}: column name {repeated!r} is repeated in the header")
+    seen: set = set()
+    for nm in names:
+        if nm in seen:
+            raise ValueError(f"{path}: column name {nm!r} is repeated in the header")
+        seen.add(nm)
     # the samples, a block of lines at a time: fields end at a delimiter or a newline,
     # and each label becomes an id that is the same in every block
     width, delim = len(names), ord(_delimiter(head[0]))
@@ -263,26 +278,32 @@ def _dataset(lines, path) -> Dataset:
         ends = np.flatnonzero((buf == delim) | (buf == 10))
         lengths = np.diff(ends, prepend=-1) - 1
         keep = lengths > 0
-        arity = np.diff(np.cumsum(keep)[buf[ends] == 10], prepend=0)
+        # a line's fields, less its empty ones: both counted up to its newline
+        newlines = np.flatnonzero(buf[ends] == 10)
+        arity = np.diff(newlines + 1 - np.searchsorted(np.flatnonzero(~keep), newlines,
+                                                       side="right"), prepend=0)
         if (bad := np.flatnonzero(arity != width)).size:
             raise _arity_error(path, int(arity[bad[0]]), width)
         ids = _label_ids(text, (ends - lengths)[keep], lengths[keep], rounds, labels)
-        blocks.append(ids.astype(np.int32).reshape(-1, width).T)
-    ids = np.concatenate(blocks, axis=1)  # one row per column
+        blocks.append(ids.reshape(-1, width))
+    # one contiguous row of ids per column, written a block at a time
+    n = sum(len(b) for b in blocks)
+    ids = np.empty((width, n), dtype=np.int32)
+    np.concatenate(blocks, out=ids.T)
     del blocks
-    # each column's codes replace its ids; codes and labels follow each label's first row
-    n = ids.shape[1]
-    rows_at = np.arange(n)
+    # each column's codes replace its ids; codes and labels follow each label's first row.
+    # first[i] is the first row of id i in the column at hand, and n once it is reset
+    rows_at = np.arange(n, dtype=np.int32)
+    first = np.full(len(labels), n, dtype=np.int32)
+    code = np.empty(len(labels), dtype=np.int32)
     column_labels = []
     for col in ids:
-        first = np.full(len(labels), n)
         np.minimum.at(first, col, rows_at)
-        seen = np.flatnonzero(first < n)
-        seen = seen[np.argsort(first[seen])]
-        code = np.zeros(len(labels), dtype=np.int32)
-        code[seen] = np.arange(seen.size)
-        col[:] = code[col]
-        column_labels.append([labels[i] for i in seen.tolist()])
+        seen_ids = col[first.take(col) == rows_at]  # in order of first appearance
+        first[seen_ids] = n
+        code[seen_ids] = np.arange(seen_ids.size, dtype=np.int32)
+        col[:] = code.take(col)
+        column_labels.append([labels[i] for i in seen_ids.tolist()])
     return Dataset(names, list(ids), column_labels)
 
 

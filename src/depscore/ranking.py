@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measures
 from .measures import MeasureKind
-from .tables import CountTable, DofMode, dof, merge_states
+from .tables import CountTable, DofMode, merge_states
 
 __all__ = [
     "ScoredCandidate",
@@ -49,13 +49,17 @@ def score_candidates(tables, kind: MeasureKind,
                      mode: DofMode = DofMode.EFFECTIVE) -> list[ScoredCandidate]:
     """Score each (id, CountTable) candidate under one measure, in one
     :func:`measures.score` call: a candidate the measure is undefined on
-    scores nan with key ``-inf``, so :func:`rank` puts it last."""
+    scores nan with key ``-inf``, so :func:`rank` puts it last. The tables of
+    each shape get their statistics from one :func:`measures.stack_stats` call."""
     tables = [(str(cid), t) for cid, t in tables]
-    mi = np.array([measures.mi_plugin(t) for _, t in tables], dtype=float)
-    d = np.array([dof(t, mode) for _, t in tables], dtype=np.int64)
-    n = np.array([t.n for _, t in tables], dtype=np.int64)
-    h_bar = np.array([measures.mean_marginal_entropy(t) for _, t in tables], dtype=float) \
-        if kind is MeasureKind.NI else None
+    by_shape: dict = {}
+    for i, (_, t) in enumerate(tables):
+        by_shape.setdefault(t.counts.shape, []).append(i)
+    mi, h_bar = np.empty(len(tables)), np.empty(len(tables))
+    d, n = np.empty(len(tables), dtype=np.int64), np.empty(len(tables), dtype=np.int64)
+    for at in by_shape.values():
+        mi[at], d[at], n[at], h_bar[at] = measures.stack_stats(
+            np.stack([tables[i][1].counts for i in at]), mode)
     scores, keys = measures.score(kind, mi, d, n, h_bar)
     return [ScoredCandidate(id=cid, score=float(s), key=float(k), dof=int(dd))
             for (cid, _), s, k, dd in zip(tables, scores, keys, d)]

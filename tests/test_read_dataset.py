@@ -11,11 +11,16 @@ them, and labels that differ only after their first 4 or 8 bytes or by a
 trailing NUL). Longer labels first appear in later rows, and the reader takes
 blocks of as few as one line, so they first appear in a later block. At
 times a file has one or two rows of the wrong arity or a repeated header
-name, and then both readers must raise the same message.
+name, and then both readers must raise the same message. Every column the
+reader returns must be a contiguous row, and the pair table it tabulates
+from two of them must equal ``from_samples`` on the same codes.
 """
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -24,6 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from depscore import cli  # noqa: E402
 from depscore.cli import read_dataset  # noqa: E402
+from depscore.tables import from_samples  # noqa: E402
 
 # characters of 1 to 4 UTF-8 bytes, NUL and '#' among them
 LABEL_CHARS = "ab#0\0éß€𝄞"
@@ -138,3 +144,11 @@ def test_read_dataset_matches_a_per_line_reader(path, data):
             assert str(exc) == expected
         else:
             assert (ds.names, ds.labels, [c.tolist() for c in ds.columns]) == expected
+            assert all(c.flags.c_contiguous for c in ds.columns)
+            # ordered pairs, a column with itself too; a one-label column has 2 states
+            for a, b in itertools.product(range(width), repeat=2):
+                t = ds.pair_table(ds.names[a], ds.names[b])
+                ref = from_samples(np.column_stack((ds.columns[a], ds.columns[b])),
+                                   max(len(ds.labels[a]), 2), max(len(ds.labels[b]), 2))
+                assert t.counts.dtype == ref.counts.dtype and not t.counts.flags.writeable
+                assert t.counts.tolist() == ref.counts.tolist()

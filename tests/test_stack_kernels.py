@@ -1,9 +1,10 @@
 """``stack_stats`` against the per-table functions, bit for bit.
 
 ``stack_stats`` and the array form of ``score`` score many tables of one
-shape at once. Every value must equal (``==``, not approximately) the
-per-table function on that table alone, and the per-table functions must
-equal the plain one-table formulas written out below.
+shape at once, and ``score_candidates`` scores tables of mixed shapes with one
+``stack_stats`` call per shape. Every value must equal (``==``, not
+approximately) the per-table function on that table alone, and the per-table
+functions must equal the plain one-table formulas written out below.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from depscore import (
     mean_marginal_entropy,
     mi_plugin,
     score,
+    score_candidates,
     stack_stats,
 )
 from depscore import measures, tables
@@ -122,6 +124,35 @@ def test_scores_equal_per_table(i):
             else:
                 assert np.isnan(scores[g]) and np.isnan(one[0])
                 assert keys[g] == one[1] == -np.inf
+
+
+@pytest.mark.parametrize("mode", list(DofMode))
+def test_score_candidates_equal_per_table(mode, monkeypatch):
+    # 120 tables of 11 shapes (two stacks share one) in a seeded shuffle, plus a 2x2
+    # table with an empty column (effective dof 0) and a one-cell table (both
+    # marginal entropies 0)
+    order = np.random.default_rng(20_261_019).permutation(120)
+    counts = [c for stack in STACKS[:12] for c in stack[:10]]
+    cands = [(f"c{i:03d}", from_counts(counts[i])) for i in order]
+    cands += [("empty-col", from_counts([[5, 0], [3, 0]])),
+              ("one-cell", from_counts([[7, 0], [0, 0]]))]
+    shapes = {t.counts.shape for _, t in cands}
+    calls = []
+    monkeypatch.setattr(measures, "stack_stats",
+                        lambda c, m: calls.append(c.shape) or stack_stats(c, m))
+    if mode is DofMode.EFFECTIVE:
+        assert sum(dof(t, mode) == 0 for _, t in cands) >= 2
+    for kind in MeasureKind:
+        calls.clear()
+        got = score_candidates(cands, kind, mode)
+        assert sorted(shape[1:] for shape in calls) == sorted(shapes)
+        for (cid, t), cand in zip(cands, got):
+            one = score(kind, mi_plugin(t), dof(t, mode), t.n, mean_marginal_entropy(t))
+            assert (cand.id, cand.dof) == (cid, dof(t, mode))
+            if np.isnan(one[0]):
+                assert np.isnan(cand.score) and cand.key == one[1] == -np.inf
+            else:
+                assert (cand.score, cand.key) == one
 
 
 def test_zero_padding_would_change_the_sums():
