@@ -48,8 +48,10 @@ finite and >= 0, a `--curve-points` outside 1..MAX_CURVE_POINTS, an `ess`
 between 0 and 1;
 3 no-root (equivalent sample size); 1 other input or domain errors, among them
 a fig3 n above `experiments.FIG3_MAX_N`, a study n or a count total of 2**63
-or more, and a dataset header that names a column twice. Nothing is printed
-to stdout unless the exit code is 0.
+or more, a dataset header that names a column twice, an unknown column (the
+error names it, the number of columns and the first five), and an array too
+large to allocate (`error: out of memory`). Nothing is printed to stdout
+unless the exit code is 0.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ class Dataset:
         try:
             return self._index[name]
         except KeyError:
-            raise ValueError(f"unknown column {name!r}; have {', '.join(self.names)}") from None
+            shown = self.names[:5] + ["..."] * (len(self.names) > 5)
+            raise ValueError(f"unknown column {name!r}; have {len(self.names)} columns: "
+                             + ", ".join(shown)) from None
 
     def pair_table(self, name_a: str, name_b: str) -> CountTable:
         """The pair's count table; a column with one label is a 2-state variable
@@ -549,6 +553,9 @@ def main(argv=None) -> int:
         return EXIT_NO_ROOT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_ERROR
 
 

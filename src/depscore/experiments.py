@@ -61,7 +61,8 @@ from . import measures as meas
 from .measures import MeasureKind
 from .numerics import _seed, bisect_root, substream
 from .ranking import first_best, refinement_increment, refinement_margin, selection_margin
-from .tables import CountTable, DofMode, ProbTable, _integers, from_counts, make_prob_table
+from .tables import (_SAMPLE_SIZE, CountTable, DofMode, ProbTable, _whole, from_counts,
+                     make_prob_table)
 
 __all__ = [
     "fig2_distribution",
@@ -94,6 +95,7 @@ _BLOCK_TABLES = 4096
 # Largest feature-selection sample size: a draw peaks near 138 bytes per sample
 # (tracemalloc at n = 1e5 and 1e6), about 0.6 GB at this n.
 FIG3_MAX_N = 2**22
+_NB_SAMPLE_SIZE = f"n must be an integer from 1 to FIG3_MAX_N = {FIG3_MAX_N} for feature selection"
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,6 @@ def _sample_nb_stacks(model: NaiveBayesModel, n: int,
             by_code[:, _FOUR_STATE_CODE, np.arange(N_CLASSES)])
 
 
-def _check_nb_n(n: int) -> int:
-    """``n`` once the sampler can draw that many samples: from 1 to :data:`FIG3_MAX_N`."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > FIG3_MAX_N:
-        raise ValueError(f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, got {n}")
-    return n
-
-
 def sample_nb_dataset(model: NaiveBayesModel, n: int,
                       gen: np.random.Generator) -> list[tuple[str, CountTable]]:
     """n joint draws of (class, all 20 features), as per-feature tables vs class.
@@ -197,7 +190,7 @@ def sample_nb_dataset(model: NaiveBayesModel, n: int,
     block) so a given generator state always yields the same dataset. No n may
     exceed :data:`FIG3_MAX_N`.
     """
-    n = _check_nb_n(int(_integers(n, "n must be an integer")))
+    n = _whole(n, _NB_SAMPLE_SIZE, 1, FIG3_MAX_N + 1)
     binary, four = _sample_nb_stacks(model, n, gen)
     return [(f"x{j + 1:02d}", from_counts(c)) for j, c in enumerate((*binary, *four))]
 
@@ -230,15 +223,9 @@ def _study(replicates: int, measure_kinds, n_values,
     """The study's arguments, checked before anything is drawn; the seed is
     checked even when no replicate would draw from it."""
     master_seed = _seed(master_seed)
-    replicates = int(_integers(replicates, "replicates must be an integer"))
+    replicates = _whole(replicates, "replicates must be an integer >= 1", 1)
     kinds = tuple(measure_kinds)
-    n_values = tuple(int(_integers(n, "n must be an integer")) for n in n_values)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if min(n_values, default=1) < 1:
-        raise ValueError("n must be >= 1")
-    if max(n_values, default=1) >= 2**63:
-        raise ValueError(f"n must be below 2**63, got {max(n_values)}")
+    n_values = tuple(_whole(n, _SAMPLE_SIZE, 1, 2**63) for n in n_values)
     if len(set(kinds)) < len(kinds):
         raise ValueError("measures must be distinct")
     return replicates, kinds, n_values, master_seed
@@ -340,7 +327,7 @@ def run_feature_selection_experiment(
     model = NaiveBayesModel(float(z))
     replicates, kinds, n_values, master_seed = _study(replicates, measure_kinds, n_values,
                                                       master_seed)
-    _check_nb_n(max(n_values, default=1))
+    _whole(max(n_values, default=1), _NB_SAMPLE_SIZE, 1, FIG3_MAX_N + 1)
     # footnote convention: when the naive p-value dies for both winners, the
     # plotted choice is the arity the true model does NOT favor at this z
     four_truly_better = nb_true_mi(model, "four_state") > nb_true_mi(model, "binary")

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tables import _integers
+from .tables import _whole
 
 __all__ = [
     "substream",
@@ -39,21 +39,15 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     an experiment run in any order (or in parallel) without changing output.
     A generator is single-owner: derive one per consumer, never share one.
     """
-    bad_index = "substream index must be a nonnegative integer"
-    master_seed, index = _seed(master_seed), int(_integers(index, bad_index))
-    if index < 0:
-        raise ValueError(bad_index)
+    master_seed = _seed(master_seed)
+    index = _whole(index, "substream index must be a nonnegative integer", 0)
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
 def _seed(master_seed) -> int:
     """``master_seed`` as an int, once it is an unsigned 64-bit integer."""
-    bad_seed = f"seed must be an unsigned 64-bit integer, got {master_seed}"
-    master_seed = int(_integers(master_seed, bad_seed))
-    if not 0 <= master_seed < 2 ** 64:
-        raise ValueError(bad_seed)
-    return master_seed
+    return _whole(master_seed, "seed must be an unsigned 64-bit integer", 0, 2**64)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ every total the library accepts".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
     "merge_states",
     "sample_table",
 ]
+
+_SAMPLE_SIZE = "n must be an integer >= 1 and below 2**63"  # also the studies' rule for n
 
 
 class DofMode(enum.Enum):
@@ -85,13 +88,24 @@ def from_counts(counts) -> CountTable:
 
 
 def _integers(a, message: str) -> np.ndarray:
-    """``a`` as an array, once every entry is an integer (a float must be whole)."""
+    """``a`` as an array, once every entry is an integer (a float must be whole;
+    text and complex numbers never are)."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
-        f = np.asarray(a, dtype=float)
+        f = np.asarray(a, dtype=float) if a.dtype.kind in "bfO" else np.nan
         if not np.isfinite(f).all() or (f != np.round(f)).any():
             raise ValueError(message)
     return a
+
+
+def _whole(x, rule: str, low: int, below: float = math.inf) -> int:
+    """``x`` as an int, once it is one integer as :func:`_integers` reads it, at
+    least ``low`` and less than ``below``; ``rule`` says so in the error."""
+    message = f"{rule}, got {x!r}"
+    a = _integers(x, message)
+    if a.ndim or not low <= (value := int(a)) < below:
+        raise ValueError(message)
+    return value
 
 
 def _counts(c, ndim: int = 3) -> np.ndarray:
@@ -119,9 +133,8 @@ def _counts(c, ndim: int = 3) -> np.ndarray:
 
 def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     """Count occurrences of (a, b) state pairs into a card_a x card_b table."""
-    card_a, card_b = map(int, _integers((card_a, card_b), "cardinalities must be integers"))
-    if card_a < 2 or card_b < 2:
-        raise ValueError("both cardinalities must be >= 2")
+    card_a = _whole(card_a, "card_a must be an integer >= 2", 2)
+    card_b = _whole(card_b, "card_b must be an integer >= 2", 2)
     if card_a * card_b >= 2**63:
         raise ValueError(f"card_a * card_b must be below 2**63, got {card_a * card_b}")
     idx = _integers(pairs, "state indices must be integers")
@@ -196,8 +209,6 @@ def merge_states(t: CountTable, part_a, part_b) -> CountTable:
 
 def sample_table(p: ProbTable, n: int, gen: np.random.Generator) -> CountTable:
     """n i.i.d. draws from the joint p with ``gen``, accumulated into counts."""
-    n = int(_integers(n, "n must be an integer"))
-    if not 1 <= n < 2**63:
-        raise ValueError(f"n must be >= 1 and below 2**63, got {n}")
+    n = _whole(n, _SAMPLE_SIZE, 1, 2**63)
     flat = gen.multinomial(n, p.probs.ravel())
     return CountTable(_freeze(flat.reshape(p.probs.shape).astype(np.int64)))

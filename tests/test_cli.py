@@ -445,6 +445,33 @@ def test_rank_unknown_column(tmp_path, capsys):
     assert code == 1 and "unknown column" in err
 
 
+@pytest.mark.parametrize("argv", [["rank", "--class-column", "nope"],
+                                  ["measure", "--pair", "nope", "f7"]])
+def test_unknown_column_of_a_wide_file_is_one_short_line(tmp_path, capsys, argv):
+    # the error names the column, how many there are and the first few, not all 4,000
+    f = tmp_path / "wide.csv"
+    f.write_text(",".join(f"f{j}" for j in range(4000)) + "\n" + ",".join(["a"] * 4000) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    assert code == 1 and out == ""
+    assert err == "error: unknown column 'nope'; have 4000 columns: f0, f1, f2, f3, f4, ...\n"
+
+
+NUMPY_OOM = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type int64"
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError(NUMPY_OOM), f"error: out of memory: {NUMPY_OOM}\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_allocation_failure_is_one_error_line(tmp_path, capsys, monkeypatch, exc, err):
+    # a pair table numpy cannot allocate is an error (exit 1), not a traceback
+    def pair_table(self, name_a, name_b):
+        raise exc
+    monkeypatch.setattr(cli.Dataset, "pair_table", pair_table)
+    f = make_rank_dataset(tmp_path)
+    assert run_cli(capsys, "rank", "--input", str(f), "--class-column", "y") == (1, "", err)
+
+
 def test_rank_constant_column_named(tmp_path, capsys):
     # a column with one label is a 2-state variable with one empty state: its
     # effective dof is 0, so under si it is named in the ranking, last, as nan
@@ -848,8 +875,8 @@ def test_experiment_fig3_sample_size_cap(tmp_path, capsys, n):
     code, out, err = run_cli(capsys, "experiment", "fig3", "--replicates", "1",
                              "--n-values", f"32,{n}", "--out", str(tmp_path / "c.tsv"))
     assert code == 1 and out == ""
-    assert err == f"error: n must be <= FIG3_MAX_N = {FIG3_MAX_N} for feature selection, " \
-                  f"got {n}\n"
+    assert err == f"error: n must be an integer from 1 to FIG3_MAX_N = {FIG3_MAX_N} " \
+                  f"for feature selection, got {n}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -866,7 +893,7 @@ def test_experiment_sample_size_of_2_63_is_an_error(tmp_path, capsys, name):
     code, out, err = run_cli(capsys, "experiment", name, "--replicates", "1",
                              "--n-values", f"32,{2**63}", "--out", str(tmp_path / "c.tsv"))
     assert code == 1 and out == ""
-    assert err == f"error: n must be below 2**63, got {2**63}\n"
+    assert err == f"error: n must be an integer >= 1 and below 2**63, got {2**63}\n"
     assert not list(tmp_path.iterdir())
 
 

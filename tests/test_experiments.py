@@ -141,8 +141,8 @@ def test_sample_nb_dataset_caps_n_as_fig3_does(n):
     # rejected before anything is drawn: the generator is left untouched
     gen = substream(1, 0)
     state = gen.bit_generator.state
-    with pytest.raises(ValueError, match=f"n must be <= FIG3_MAX_N = {FIG3_MAX_N} "
-                                         f"for feature selection, got {n}$"):
+    with pytest.raises(ValueError, match=f"n must be an integer from 1 to FIG3_MAX_N = "
+                                         f"{FIG3_MAX_N} for feature selection, got {n}$"):
         sample_nb_dataset(NaiveBayesModel(0.1), n, gen)
     assert gen.bit_generator.state == state
 
@@ -163,16 +163,16 @@ def test_sample_nb_dataset_determinism():
     pytest.param(lambda: run_discretization_experiment(n_values=[25.5], replicates=1),
                  "n must be an integer", id="fig2-n"),
     pytest.param(lambda: run_discretization_experiment(replicates=0),
-                 "replicates must be >= 1", id="fig2-no-replicates"),
+                 "replicates must be an integer >= 1, got 0", id="fig2-no-replicates"),
     pytest.param(lambda: run_discretization_experiment(n_values=[0], replicates=1),
-                 "n must be >= 1", id="fig2-n-zero"),
+                 "n must be an integer >= 1", id="fig2-n-zero"),
     pytest.param(lambda: run_discretization_experiment(
         replicates=1, measure_kinds=[MeasureKind.SI, MeasureKind.SI]),
                  "measures must be distinct", id="fig2-repeated-measure"),
     pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 32.7, substream(1, 0)),
                  "n must be an integer", id="nb-dataset-n"),
     pytest.param(lambda: sample_nb_dataset(NaiveBayesModel(0.1), 0, substream(1, 0)),
-                 "n must be >= 1", id="nb-dataset-n-zero"),
+                 "n must be an integer from 1 to FIG3_MAX_N", id="nb-dataset-n-zero"),
     pytest.param(lambda: run_discretization_experiment(master_seed=1.5, replicates=1),
                  "seed must be an unsigned 64-bit integer", id="fig2-seed"),
     # with no sample sizes no replicate draws, so only a check up front sees the seed

@@ -81,9 +81,9 @@ def test_from_samples_empty_and_range():
         from_samples([(-1, 0)], 2, 2)
     with pytest.raises(ValueError, match="state indices must be integers"):
         from_samples([(0.5, 0)], 2, 2)
-    with pytest.raises(ValueError, match="cardinalities must be integers"):
+    with pytest.raises(ValueError, match="card_a must be an integer >= 2, got 2.5"):
         from_samples([(0, 0)], 2.5, 2)
-    with pytest.raises(ValueError, match="both cardinalities must be >= 2"):
+    with pytest.raises(ValueError, match="card_a must be an integer >= 2, got 1"):
         from_samples([(0, 0)], 1, 2)
     for pairs in ([0, 1], [(0, 1, 1)], [[[0, 1]]]):
         with pytest.raises(ValueError, match=r"sequence of \(a, b\) index pairs"):
@@ -241,7 +241,7 @@ def test_sample_table_degenerate():
     assert t.counts.tolist() == [[10, 0], [0, 0]]
     with pytest.raises(ValueError, match="n must be an integer"):
         sample_table(p, 1.5, substream(0, 0))
-    with pytest.raises(ValueError, match="n must be >= 1 and below 2\\*\\*63"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1 and below 2\\*\\*63"):
         sample_table(p, 2**63, substream(0, 0))
 
 
