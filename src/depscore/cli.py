@@ -9,12 +9,13 @@ one sample per row of arbitrary categorical labels; labels map to dense
 indices in first-appearance order per column, and the mapping is echoed in
 output comments so sparse-label behavior is reproducible. `measure` reads
 its input as a dataset when `--pair` is given or a field of the first data
-row is not an integer, and as a count table otherwise. Count tables, and
-the row `measure` sniffs, are split one line at a time; a dataset's samples
-are split a block of about `_BLOCK_FIELDS` fields at a time, from their
-bytes, and its labels are coded without one Python object per field. Each
-dataset column is held as one contiguous int32 row of codes, which pair
-tables count directly: the codes are in range by construction, so only
+row is not an integer, and as a count table otherwise. Each line is split
+once. The first data line of a file (a header, or the row `measure` sniffs)
+and the rows of a count table are split as `str`; a dataset's samples, the
+first one included, only by the block splitter, about `_BLOCK_FIELDS` fields
+at a time from their bytes, with labels coded without one Python object per
+field. Each dataset column is one contiguous int32 row of codes, which pair
+tables count unchecked: the codes are in range by construction, so only
 `tables.from_samples`, the entry point for state indices from outside,
 checks them. The rules, the same for both formats:
 
@@ -74,9 +75,9 @@ from .experiments import (
     run_discretization_experiment,
     run_feature_selection_experiment,
 )
-from .measures import MeasureKind, report
-from .ranking import rank, score_candidates, si_threshold
-from .tables import CountTable, DofMode, _freeze, from_counts, make_prob_table
+from .measures import MeasureKind, _log_p, report
+from .ranking import rank, score_candidates, selection_margin
+from .tables import CountTable, DofMode, _tabulate, from_counts, make_prob_table
 
 # printed once above a report or ranking that holds an undefined (nan) value
 _UNDEFINED_NOTE = ("# nan: undefined measure (dof-based measures need dof >= 1, ni a marginal "
@@ -117,6 +118,7 @@ def _fmt(x) -> str:
 _BLOCK_FIELDS = 8192
 # the first 0..4 bytes of a little-endian 4-byte word
 _BYTE_MASKS = np.array([0, 0xFF, 0xFFFF, 0xFF_FFFF, 0xFFFF_FFFF], dtype=np.uint64)
+_NO_SAMPLE = "need a header row and at least one sample row"  # a dataset file's first check
 
 
 def _delimiter(first_line: str) -> str:
@@ -125,13 +127,8 @@ def _delimiter(first_line: str) -> str:
 
 
 def _lines(path):
-    """Yield the data lines of ``path``; each splits on ``_delimiter`` of the first.
-
-    The file is UTF-8; a byte-order mark at its start is dropped. Blank lines
-    and lines whose first non-blank character is ``#`` are skipped. When the
-    first line has neither a comma nor a tab, fields are split on runs of
-    whitespace, and each line is yielded with its fields joined by one space.
-    """
+    """Yield the data lines of ``path`` under the line rules of the module docstring;
+    when the first has neither a comma nor a tab, each line's fields are joined by one space."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         spaces = None
         for line in fh:
@@ -146,36 +143,32 @@ def _arity_error(path, arity: int, width: int) -> ValueError:
     return ValueError(f"{path}: row arity {arity} != first row arity {width}")
 
 
-def _rows(lines, path):
-    """Yield the nonempty fields of each of ``lines``; every row must have as
-    many fields as the first."""
-    delim = width = None
-    for line in lines:
-        if width is None:
-            delim = _delimiter(line)
-        fields = [f for f in line.split(delim) if f]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise _arity_error(path, len(fields), width)
-        yield fields
+def _head(path, empty: str):
+    """``(fields, delimiter, lines)``: the first data line of ``path`` split on the delimiter
+    it sets, less empty fields, and the data lines after it; none at all is the error ``empty``."""
+    lines = _lines(path)
+    if (head := next(lines, None)) is None:
+        raise ValueError(f"{path}: {empty}")
+    delim = _delimiter(head)
+    return [f for f in head.split(delim) if f], delim, lines
 
 
-def _count_table(lines, path) -> CountTable:
+def _count_table(head, delim, lines, path) -> CountTable:
+    """The count table of row ``head`` and of ``lines``, each split on ``delim``."""
     counts = []
-    for fields in _rows(lines, path):
+    for fields in itertools.chain([head], ([f for f in line.split(delim) if f] for line in lines)):
+        if len(fields) != len(head):
+            raise _arity_error(path, len(fields), len(head))
         try:
             counts.append([int(f) for f in fields])
         except ValueError:
             raise ValueError(f"{path}: non-integer entry in count table") from None
-    if not counts:
-        raise ValueError(f"{path}: no data rows")
     return from_counts(counts)
 
 
 def read_count_table(path) -> CountTable:
     """Parse a delimiter-separated integer matrix into a CountTable."""
-    return _count_table(_lines(path), path)
+    return _count_table(*_head(path, "no data rows"), path)
 
 
 class Dataset:
@@ -184,7 +177,7 @@ class Dataset:
     ``columns[j]`` holds column ``j``'s codes, dense from 0 in order of first
     appearance, as one contiguous int32 row of a ``(width, n)`` matrix, and
     ``labels[j][k]`` is the label of code ``k``. :meth:`pair_table` counts two
-    such rows directly, since their codes are in range by construction;
+    such rows unchecked, since their codes are in range by construction;
     :func:`tables.from_samples` is the entry point that checks state indices
     from outside.
     """
@@ -208,10 +201,8 @@ class Dataset:
         """The pair's count table; a column with one label is a 2-state variable
         whose second state is empty."""
         ia, ib = self.column(name_a), self.column(name_b)
-        card_a, card_b = max(len(self.labels[ia]), 2), max(len(self.labels[ib]), 2)
-        flat = np.bincount(self.columns[ia].astype(np.int64) * card_b + self.columns[ib],
-                           minlength=card_a * card_b)
-        return CountTable(_freeze(flat.reshape(card_a, card_b).astype(np.int64, copy=False)))
+        return _tabulate(self.columns[ia], self.columns[ib],
+                         max(len(self.labels[ia]), 2), max(len(self.labels[ib]), 2))
 
 
 def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: list,
@@ -253,43 +244,46 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
         prev = ids[todo].astype(np.uint64)
 
 
-def _dataset(lines, path) -> Dataset:
-    head = list(itertools.islice(lines, 2))  # the header and the first sample
-    rows = list(_rows(head, path))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one sample row")
-    names = rows[0]
-    if len(names) < 2:
+def _block_fields(block: list, delim: int, width: int, path) -> tuple:
+    """``(text, starts, lengths)`` of the nonempty fields of the lines ``block``, once
+    each has ``width`` of them: a field ends at the byte ``delim`` or at a newline."""
+    text = ("\n".join(block) + "\n\0\0\0").encode()
+    buf = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero((buf == delim) | (buf == 10))
+    lengths = np.diff(ends, prepend=-1) - 1
+    keep = lengths > 0
+    # a line's fields, less its (rare) empty ones: both counted up to its newline
+    newlines = np.flatnonzero(buf[ends] == 10)
+    arity = np.diff(newlines + 1 - np.searchsorted(np.flatnonzero(~keep), newlines,
+                                                   side="right"), prepend=0)
+    if (bad := np.flatnonzero(arity != width)).size:
+        raise _arity_error(path, int(arity[bad[0]]), width)
+    return text, (ends - lengths)[keep], lengths[keep]
+
+
+def _dataset(names, delim, lines, path) -> Dataset:
+    """The dataset of header ``names`` and of samples ``lines``, split on ``delim``."""
+    if (sample := next(lines, None)) is None:
+        raise ValueError(f"{path}: {_NO_SAMPLE}")
+    width, delim = len(names), ord(delim)
+    fields = _block_fields([sample], delim, width, path)  # its arity comes before the header's
+    if width < 2:
         raise ValueError(f"{path}: need at least two columns")
     seen: set = set()
     for nm in names:
         if nm in seen:
             raise ValueError(f"{path}: column name {nm!r} is repeated in the header")
         seen.add(nm)
-    # the samples, a block of lines at a time: fields end at a delimiter or a newline,
-    # and each label becomes an id that is the same in every block
-    width, delim = len(names), ord(_delimiter(head[0]))
-    lines = itertools.chain(head[1:], lines)
+    # the samples, a block of lines at a time; a label's id is the same in every block
     rounds: list = []
     labels: list = []
     blocks = []
-    # a block also holds an eighth as many fields as there are ids, so that the
-    # sorted keys grow by a share at a time and merging into them stays linear
-    while block := list(itertools.islice(
-            lines, max(1, max(_BLOCK_FIELDS, len(labels) // 8) // width))):
-        text = ("\n".join(block) + "\n\0\0\0").encode()
-        buf = np.frombuffer(text, dtype=np.uint8)
-        ends = np.flatnonzero((buf == delim) | (buf == 10))
-        lengths = np.diff(ends, prepend=-1) - 1
-        keep = lengths > 0
-        # a line's fields, less its empty ones: both counted up to its newline
-        newlines = np.flatnonzero(buf[ends] == 10)
-        arity = np.diff(newlines + 1 - np.searchsorted(np.flatnonzero(~keep), newlines,
-                                                       side="right"), prepend=0)
-        if (bad := np.flatnonzero(arity != width)).size:
-            raise _arity_error(path, int(arity[bad[0]]), width)
-        ids = _label_ids(text, (ends - lengths)[keep], lengths[keep], rounds, labels)
-        blocks.append(ids.reshape(-1, width))
+    while fields:
+        blocks.append(_label_ids(*fields, rounds, labels).reshape(-1, width))
+        # a block also holds an eighth as many fields as there are ids, so that the
+        # sorted keys grow by a share at a time and merging into them stays linear
+        block = list(itertools.islice(lines, max(1, max(_BLOCK_FIELDS, len(labels) // 8) // width)))
+        fields = block and _block_fields(block, delim, width, path)
     # one contiguous row of ids per column, written a block at a time
     n = sum(len(b) for b in blocks)
     ids = np.empty((width, n), dtype=np.int32)
@@ -313,7 +307,7 @@ def _dataset(lines, path) -> Dataset:
 
 def read_dataset(path) -> Dataset:
     """Parse a header-plus-samples categorical data file."""
-    return _dataset(_lines(path), path)
+    return _dataset(*_head(path, _NO_SAMPLE), path)
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +315,22 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _cmd_measure(args) -> int:
-    lines = _lines(args.input)
-    head = next(lines, None)
-    if head is None:
-        raise ValueError(f"{args.input}: empty input")
-    lines = itertools.chain([head], lines)
+    head, delim, lines = _head(args.input, "empty input")
     try:  # a count table, unless --pair names columns or the first row is not all integers
-        [int(f) for f in next(_rows([head], args.input))]
+        [int(f) for f in head]
         dataset = bool(args.pair)
     except ValueError:
         dataset = True
     notes = []
     if dataset:
-        ds = _dataset(lines, args.input)
+        ds = _dataset(head, delim, lines, args.input)
         pair = args.pair or ds.names
         if len(pair) != 2:
             raise ValueError("--pair NAME NAME required for datasets with more than two columns")
         table = ds.pair_table(*pair)
         notes = [f"# labels {nm}: " + " ".join(ds.labels[ds.column(nm)]) for nm in pair]
     else:
-        table = _count_table(lines, args.input)
+        table = _count_table(head, delim, lines, args.input)
     rep = report(table, DofMode(args.dof))
     if any(math.isnan(getattr(rep, f.name)) for f in fields(rep)):
         notes.append(_UNDEFINED_NOTE)
@@ -351,29 +341,23 @@ def _cmd_measure(args) -> int:
 def _cmd_rank(args) -> int:
     ds = read_dataset(args.input)
     cls = args.class_column
-    features = [nm for nm in ds.names if nm != cls]
     kind = MeasureKind(args.measure)
     mode = DofMode(args.dof)
-    tables = [(nm, ds.pair_table(nm, cls)) for nm in features]
+    tables = [(nm, ds.pair_table(nm, cls)) for nm in ds.names if nm != cls]
     ranked = rank(score_candidates(tables, kind, mode))
     lines = [f"# measure: {kind.value}", f"# class: {cls}", f"# dof_mode: {mode.value}"]
     if any(math.isnan(c.score) for c in ranked):
         lines.append(_UNDEFINED_NOTE)
-    show_notable = kind in (MeasureKind.SI, MeasureKind.SI_FISHER)
-    threshold = si_threshold(args.alpha)
-    header = ["rank", "id", "score"]
+    margin = selection_margin(kind, args.alpha)
     if kind is MeasureKind.P_VALUE:
-        header.append("log_p")
-    if show_notable:
-        header.append("notable")
-    lines.append("\t".join(header))
-    for pos, cand in enumerate(ranked, start=1):
-        row = [str(pos), cand.id, _fmt(cand.score)]
-        if kind is MeasureKind.P_VALUE:
-            row.append(_fmt(math.nan if math.isnan(cand.score) else -cand.key))
-        if show_notable:
-            row.append(_fmt(cand.score > threshold))
-        lines.append("\t".join(row))
+        extra, value = ["log_p"], lambda c: [_fmt(_log_p(c.score, c.key))]
+    elif kind in (MeasureKind.SI, MeasureKind.SI_FISHER):
+        extra, value = ["notable"], lambda c: [_fmt(c.key > margin)]
+    else:
+        extra, value = [], lambda c: []
+    lines.append("\t".join(["rank", "id", "score", *extra]))
+    lines += ["\t".join([str(pos), c.id, _fmt(c.score), *value(c)])
+              for pos, c in enumerate(ranked, start=1)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

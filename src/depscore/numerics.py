@@ -112,9 +112,9 @@ def reg_gamma_upper(s: float, x: float) -> tuple[float, float]:
     Parameters
     ----------
     s : float
-        Shape, > 0.
+        Shape, finite and > 0.
     x : float
-        Lower integration limit, >= 0.
+        Lower integration limit, >= 0; at ``inf`` the result is ``(0.0, -inf)``.
 
     Returns
     -------
@@ -122,12 +122,14 @@ def reg_gamma_upper(s: float, x: float) -> tuple[float, float]:
     """
     s = float(s)
     x = float(x)
-    if not s > 0.0:
-        raise ValueError(f"reg_gamma_upper requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"reg_gamma_upper requires a finite s > 0, got {s}")
     if not x >= 0.0:
         raise ValueError(f"reg_gamma_upper requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0, 0.0
+    if x == math.inf:
+        return 0.0, -math.inf
     if x < s + 1.0:
         p = _lower_series(s, x)
         q = 1.0 - p

@@ -87,12 +87,20 @@ def from_counts(counts) -> CountTable:
     return CountTable(_freeze(np.array(_counts(counts, ndim=2))))
 
 
+def _array(a, message: str, dtype=None) -> np.ndarray:
+    """``a`` as an array of ``dtype``, or the error ``message`` where numpy makes none."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):  # numpy's own "inhomogeneous shape", or float(object())
+        raise ValueError(message) from None
+
+
 def _integers(a, message: str) -> np.ndarray:
     """``a`` as an array, once every entry is an integer (a float must be whole;
-    text and complex numbers never are)."""
-    a = np.asarray(a)
+    text, complex numbers, other objects and ragged nestings never are)."""
+    a = _array(a, message)
     if a.dtype.kind not in "iu":
-        f = np.asarray(a, dtype=float) if a.dtype.kind in "bfO" else np.nan
+        f = _array(a, message, float) if a.dtype.kind in "bfO" else np.nan
         if not np.isfinite(f).all() or (f != np.round(f)).any():
             raise ValueError(message)
     return a
@@ -113,7 +121,7 @@ def _counts(c, ndim: int = 3) -> np.ndarray:
     and each table, over the last two, meets the rule of :func:`from_counts`:
     both cardinalities >= 2, integer counts, none negative, a total above 0
     and below 2**63."""
-    c = np.asarray(c)
+    c = _array(c, f"counts must be a {ndim}-D array, got sequences of unequal length")
     if c.ndim != ndim:
         raise ValueError(f"counts must be a {ndim}-D array, got ndim={c.ndim}")
     if min(c.shape[-2:]) < 2:
@@ -137,7 +145,8 @@ def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
     card_b = _whole(card_b, "card_b must be an integer >= 2", 2)
     if card_a * card_b >= 2**63:
         raise ValueError(f"card_a * card_b must be below 2**63, got {card_a * card_b}")
-    idx = _integers(pairs, "state indices must be integers")
+    idx = _integers(_array(pairs, "pairs must be a sequence of (a, b) index pairs"),
+                    "state indices must be integers")
     try:  # an index beyond int64 overflows the cast; one in range never does
         idx = idx.astype(np.int64, copy=False)
     except OverflowError:
@@ -148,8 +157,13 @@ def from_samples(pairs, card_a: int, card_b: int) -> CountTable:
         raise ValueError("pairs must be a sequence of (a, b) index pairs")
     if np.any(idx < 0) or np.any(idx[:, 0] >= card_a) or np.any(idx[:, 1] >= card_b):
         raise ValueError("state index out of range")
-    flat = np.bincount(idx[:, 0] * card_b + idx[:, 1], minlength=card_a * card_b)
-    return CountTable(_freeze(flat.reshape(card_a, card_b).astype(np.int64)))
+    return _tabulate(idx[:, 0], idx[:, 1], card_a, card_b)
+
+
+def _tabulate(a: np.ndarray, b: np.ndarray, card_a: int, card_b: int) -> CountTable:
+    """The card_a x card_b table of the state pairs ``(a[i], b[i])``, none of them checked."""
+    flat = np.bincount(a.astype(np.int64) * card_b + b, minlength=card_a * card_b)
+    return CountTable(_freeze(flat.reshape(card_a, card_b).astype(np.int64, copy=False)))
 
 
 def make_prob_table(probs) -> ProbTable:

@@ -104,3 +104,48 @@ def test_text_arrays_are_not_integers(call, message):
     # text was cast to numbers, or ended in numpy's own error
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+class NotANumber:
+    """An object numpy holds as dtype object and ``float()`` refuses."""
+
+    def __repr__(self) -> str:
+        return "NotANumber()"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: substream(0, NotANumber()),
+                 "substream index must be a nonnegative integer, got NotANumber()", id="substream"),
+    pytest.param(lambda: substream(NotANumber(), 0),
+                 "seed must be an unsigned 64-bit integer, got NotANumber()", id="seed"),
+    pytest.param(lambda: merge_states(from_counts([[1, 2], [3, 4]]), [[0], [NotANumber()]],
+                                      [[0], [1]]),
+                 "state indices must be integers", id="merge_states"),
+    pytest.param(lambda: from_samples([(0, NotANumber())], 2, 2), "state indices must be integers",
+                 id="from_samples"),
+    pytest.param(lambda: from_counts([[1, NotANumber()], [3, 4]]), "counts must be integers",
+                 id="from_counts"),
+])
+def test_objects_that_are_not_numbers_are_not_integers(call, message):
+    # float() raised a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: from_samples([(0, 1), (1,)], 2, 2),
+                 "pairs must be a sequence of (a, b) index pairs", id="from_samples"),
+    pytest.param(lambda: from_counts([[1, 2], [3]]),
+                 "counts must be a 2-D array, got sequences of unequal length", id="from_counts"),
+    pytest.param(lambda: stack_stats([[[1, 2], [3]]], DofMode.NOMINAL),
+                 "counts must be a 3-D array, got sequences of unequal length", id="stack_stats"),
+    pytest.param(lambda: merge_states(from_counts([[1, 2], [3, 4]]), [[0], [1, [1]]], [[0], [1]]),
+                 "state indices must be integers", id="merge_states"),
+    pytest.param(lambda: substream(0, [[1], [2, 3]]),
+                 "substream index must be a nonnegative integer, got [[1], [2, 3]]",
+                 id="substream"),
+])
+def test_ragged_nestings_are_rejected_in_the_callers_words(call, message):
+    # numpy's own "setting an array element with a sequence" escaped
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -146,6 +146,19 @@ def test_reg_gamma_upper_domain():
         reg_gamma_upper(1.0, -0.5)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 4.5, 1e6])
+def test_reg_gamma_upper_at_infinite_x(s):
+    # Q(s, x) falls to 0 as x grows; the continued fraction never converged at x = inf
+    assert reg_gamma_upper(s, math.inf) == (0.0, -math.inf)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_reg_gamma_upper_rejects_a_shape_that_is_not_finite(s):
+    # an infinite s overflowed the iteration cap
+    with pytest.raises(ValueError, match=r"^reg_gamma_upper requires a finite s > 0, got"):
+        reg_gamma_upper(s, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # inverse normal CDF, as the library uses it: si_threshold(alpha) is
 # Phi^-1(1 - alpha) / sqrt(2), so Phi^-1(p) = sqrt(2) * si_threshold(1 - p)

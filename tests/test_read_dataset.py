@@ -10,15 +10,20 @@ CRLF line endings and labels of 1-13 UTF-8 bytes (non-ASCII and NUL among
 them, and labels that differ only after their first 4 or 8 bytes or by a
 trailing NUL). Longer labels first appear in later rows, and the reader takes
 blocks of as few as one line, so they first appear in a later block. At
-times a file has one or two rows of the wrong arity or a repeated header
-name, and then both readers must raise the same message. Every column the
-reader returns must be a contiguous row, and the pair table it tabulates
-from two of them must equal ``from_samples`` on the same codes.
+times a file has one or two rows of the wrong arity, a repeated header name,
+or both with the first sample among the wrong rows, and then both readers
+must raise the same message. Every column the reader returns must be a
+contiguous row, and the pair table it tabulates from two of them must equal
+``from_samples`` on the same codes. ``measure`` without ``--pair`` reads each
+file as a dataset too, and must fail with the same message, or else report
+the pair that a two-column file names.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -28,7 +33,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from depscore import cli  # noqa: E402
-from depscore.cli import read_dataset  # noqa: E402
+from depscore.cli import main, read_dataset  # noqa: E402
 from depscore.tables import from_samples  # noqa: E402
 
 # characters of 1 to 4 UTF-8 bytes, NUL and '#' among them
@@ -99,12 +104,15 @@ def dataset_files(draw):
                     key=lambda s: len(s.encode())) for _ in names]
     rows = [[pool[draw(st.integers(0, min(i, len(pool) - 1)))] for pool in pools]
             for i in range(draw(st.integers(1, 10)))]
-    fault = draw(st.sampled_from([None, None, "arity", "header"]))
+    fault = draw(st.sampled_from([None, None, "arity", "header", "both"]))
     if fault == "arity":  # one or two rows; the first is the one named
-        for _ in range(draw(st.integers(1, 2))):
-            row = rows[draw(st.integers(0, len(rows) - 1))]
-            row.append(row[0]) if draw(st.booleans()) else row.pop()
-    elif fault == "header":
+        ragged = [draw(st.integers(0, len(rows) - 1)) for _ in range(draw(st.integers(1, 2)))]
+    else:  # under both faults the first sample, whose arity error comes before the header's
+        ragged = [0] if fault == "both" else []
+    for i in ragged:
+        row = rows[i]
+        row.append(row[0]) if draw(st.booleans()) else row.pop()
+    if fault in ("header", "both"):
         j = draw(st.integers(1, width - 1))
         names[j] = names[draw(st.integers(0, j - 1))]
 
@@ -152,3 +160,29 @@ def test_read_dataset_matches_a_per_line_reader(path, data):
                                    max(len(ds.labels[a]), 2), max(len(ds.labels[b]), 2))
                 assert t.counts.dtype == ref.counts.dtype and not t.counts.flags.writeable
                 assert t.counts.tolist() == ref.counts.tolist()
+
+
+def run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=dataset_files())
+def test_measure_reads_a_dataset_as_read_dataset_does(path, data):
+    text, _, width = data
+    path.write_bytes(text)
+    try:
+        ds = read_dataset(path)
+    except ValueError as exc:
+        assert run(["measure", "--input", str(path)]) == (1, "", f"error: {exc}\n")
+        return
+    code, out, err = run(["measure", "--input", str(path)])
+    if width == 2:  # the file names its pair
+        assert (code, out, err) == run(["measure", "--input", str(path), "--pair", *ds.names])
+        assert code == 0
+    else:
+        assert (code, out) == (1, "")
+        assert err == "error: --pair NAME NAME required for datasets with more than two columns\n"
