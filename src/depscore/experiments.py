@@ -25,9 +25,11 @@ Naive Bayes model (feature selection study)
 Blocks. Replicates are drawn one by one and scored a block at a time, of
 about ``_BLOCK_TABLES`` count tables: discretization one (G, 4, 4) stack,
 replicate-major, then z, then n; feature selection a binary (G, 2, 4) and a
-four-state (G, 4, 4) stack, ten tables per (replicate, n).
-``measures.stack_stats`` equals the per-table functions bit for bit, so each
-curve is the one a table-by-table run gives.
+four-state (G, 4, 4) stack, ten tables per (replicate, n). Blocks are made one
+at a time, so any count of replicates starts drawing at once. A discretization
+block is merged by the fold of ``merge_states`` and every block is scored by
+``measures.stack_stats``, both bit for bit as per table, so each curve is the
+one a table-by-table run gives.
 
 Decision protocols (:mod:`depscore.ranking`). For discretization, each
 table is judged by the refinement-increment rule of ``compare_discretizations``,
@@ -53,6 +55,7 @@ the robust log-space path is unaffected and keeps ordering candidates.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,11 +234,11 @@ def _study(replicates: int, measure_kinds, n_values,
     return replicates, kinds, n_values, master_seed
 
 
-def _blocks(replicates: int, tables: int) -> list[range]:
-    """Consecutive runs of whole replicates, of at most ``_BLOCK_TABLES`` tables
-    each unless one replicate has more; none when a replicate has no tables."""
+def _blocks(replicates: int, tables: int) -> Iterator[range]:
+    """Consecutive runs of whole replicates, made one at a time, of at most ``_BLOCK_TABLES``
+    tables each unless one replicate has more; none when a replicate has no tables."""
     step = max(1, _BLOCK_TABLES // max(tables, 1))
-    return [range(r, min(r + step, replicates)) for r in range(0, replicates * (tables > 0), step)]
+    return (range(r, min(r + step, replicates)) for r in range(0, replicates * (tables > 0), step))
 
 
 def _curve(x_label: str, x_values, kinds, counts, underflow, replicates: int, master_seed: int,
@@ -286,9 +289,7 @@ def run_discretization_experiment(
     for block in _blocks(replicates, len(ns)):
         counts = np.concatenate([substream(master_seed, r).multinomial(ns, pvals)
                                  for r in block]).reshape(-1, 4, 4)
-        coarse = counts.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))  # FIG2_PARTITIONS
-        fine = meas.stack_stats(counts, mode)
-        within = refinement_increment(fine, meas.stack_stats(coarse, mode))
+        within, fine = refinement_increment(counts, FIG2_PARTITIONS, mode)
         for j, k in enumerate(kinds):
             scores, keys = meas.score(k, *within)
             favors_fine = keys > margins[j]

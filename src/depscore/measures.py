@@ -240,17 +240,10 @@ def r_score(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
     return report(t, mode).r_score
 
 
-def standardized_information(
-    t: CountTable,
-    mode: DofMode = DofMode.EFFECTIVE,
-    fisher_corrected: bool = False,
-) -> float:
-    """sqrt(2N*mi) - sqrt(d), or sqrt(2N*mi) - sqrt(d - 1/2) with the Fisher refinement.
-
-    The plain variant is bounded below by -sqrt(d); both are nan when d < 1.
-    """
-    kind = MeasureKind.SI_FISHER if fisher_corrected else MeasureKind.SI
-    return float(score(kind, mi_plugin(t), dof(t, mode), t.n)[0])
+def standardized_information(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> float:
+    """sqrt(2N*mi) - sqrt(d): bounded below by -sqrt(d), nan when d < 1. The Fisher
+    variant, sqrt(2N*mi) - sqrt(d - 1/2), is ``report(t, mode).si_fisher``."""
+    return float(score(MeasureKind.SI, mi_plugin(t), dof(t, mode), t.n)[0])
 
 
 def normalized_mi(t: CountTable) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measures
 from .measures import MeasureKind
-from .tables import CountTable, DofMode, merge_states
+from .tables import CountTable, DofMode, _fold
 
 __all__ = [
     "ScoredCandidate",
@@ -95,11 +95,13 @@ def refinement_margin(kind: MeasureKind, alpha: float) -> float:
     return NI_REFINEMENT_SHARE if kind is MeasureKind.NI else margin
 
 
-def refinement_increment(fine, coarse) -> tuple:
-    """The :func:`measures.score` arguments of what finer states add beyond a merging of
-    them: the MI and dof increments of two ``stack_stats``, with the fine n and h_bar."""
-    (mi_fine, d_fine, n, h_bar), (mi_coarse, d_coarse, _, _) = fine, coarse
-    return np.maximum(mi_fine - mi_coarse, 0.0), d_fine - d_coarse, n, h_bar
+def refinement_increment(c: np.ndarray, partitions, mode: DofMode) -> tuple:
+    """``(within, fine)``: the :func:`measures.score` arguments of what each table of the stack
+    ``c`` gains over its merging by ``partitions`` (the MI and dof increments, with the fine n
+    and h_bar), and the ``stack_stats`` of ``c``."""
+    fine = mi, d, n, h_bar = measures.stack_stats(c, mode)
+    mi_coarse, d_coarse, _, _ = measures.stack_stats(_fold(c, *partitions), mode)
+    return (np.maximum(mi - mi_coarse, 0.0), d - d_coarse, n, h_bar), fine
 
 
 def first_best(scores, keys) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +133,8 @@ def compare_discretizations(t_fine: CountTable, partitions, kind: MeasureKind,
       keeping with how normalized MI regularizes).
 
     Exact ties and degenerate cases (no extra estimable structure) go to
-    coarse, the simpler hypothesis.
+    coarse, the simpler hypothesis. ``partitions`` is ``merge_states``' ``(part_a, part_b)``,
+    and the increment is :func:`refinement_increment` of a stack of one, as in the fig2 study.
     """
-    fine, coarse = (measures.stack_stats(t.counts[None], mode)
-                    for t in (t_fine, merge_states(t_fine, *partitions)))
-    _, keys = measures.score(kind, *refinement_increment(fine, coarse))
+    _, keys = measures.score(kind, *refinement_increment(t_fine.counts[None], partitions, mode)[0])
     return "fine" if keys[0] > refinement_margin(kind, alpha) else "coarse"

@@ -87,11 +87,11 @@ def from_counts(counts) -> CountTable:
     return CountTable(_freeze(np.array(_counts(counts, ndim=2))))
 
 
-def _array(a, message: str, dtype=None) -> np.ndarray:
-    """``a`` as an array of ``dtype``, or the error ``message`` where numpy makes none."""
+def _array(a, message: str) -> np.ndarray:
+    """``a`` as an array, or the error ``message`` where numpy makes none."""
     try:
-        return np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError):  # numpy's own "inhomogeneous shape", or float(object())
+        return np.asarray(a)
+    except (TypeError, ValueError):  # numpy's own "inhomogeneous shape"
         raise ValueError(message) from None
 
 
@@ -99,10 +99,14 @@ def _integers(a, message: str) -> np.ndarray:
     """``a`` as an array, once every entry is an integer (a float must be whole;
     text, complex numbers, other objects and ragged nestings never are)."""
     a = _array(a, message)
-    if a.dtype.kind not in "iu":
-        f = _array(a, message, float) if a.dtype.kind in "bfO" else np.nan
-        if not np.isfinite(f).all() or (f != np.round(f)).any():
-            raise ValueError(message)
+    kind = a.dtype.kind
+    try:  # objects exactly, never through float; int() of text, nan, inf or others raises
+        whole = kind in "iu" or kind == "O" and all(int(v) == v for v in a.ravel().tolist()) \
+            or kind in "bf" and np.isfinite(f := a.astype(float)).all() and (f == np.round(f)).all()
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(message)
     return a
 
 
@@ -120,7 +124,7 @@ def _counts(c, ndim: int = 3) -> np.ndarray:
     """``c`` as int64 counts (not converted if int64), once it has ``ndim`` axes
     and each table, over the last two, meets the rule of :func:`from_counts`:
     both cardinalities >= 2, integer counts, none negative, a total above 0
-    and below 2**63."""
+    and below 2**63 (summed exactly where entries are Python objects)."""
     c = _array(c, f"counts must be a {ndim}-D array, got sequences of unequal length")
     if c.ndim != ndim:
         raise ValueError(f"counts must be a {ndim}-D array, got ndim={c.ndim}")
@@ -129,7 +133,7 @@ def _counts(c, ndim: int = 3) -> np.ndarray:
     c = _integers(c, "counts must be integers")
     if c.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative")
-    total = c.sum(axis=(-2, -1), dtype=float)
+    total = np.asarray(c.sum(axis=(-2, -1), dtype=object if c.dtype == object else float))
     if not total.all():
         raise ValueError("table is all zero")
     # summed exactly only near 2**63: float rounding cannot lift a sum below 2**62 to 2**63
@@ -194,31 +198,31 @@ def dof(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> int:
     return int(_dof(t.counts[None], mode)[0])
 
 
-def _check_partition(part, card: int) -> list[list[int]]:
-    """``part``'s groups as lists of Python ints; a state is an integer as in
-    :func:`from_samples`, so ``True`` is state 1 and ``1.0`` is too."""
-    groups = [[int(s) for s in _integers(list(g), "state indices must be integers").tolist()]
-              for g in part]
+def _group_matrix(part, card: int) -> np.ndarray:
+    """The 0/1 ``(groups, card)`` matrix of ``part``, a partition of the states 0..card-1 into
+    nonempty flat groups, read as :func:`from_samples` reads indices (``True`` is state 1)."""
+    groups = [_integers(g, "state indices must be integers") for g in part]
     if len(groups) < 2:
         raise ValueError("a partition must have at least 2 groups")
-    if [] in groups:
-        raise ValueError(f"partition group {groups.index([])} is empty")
-    seen = sorted(s for g in groups for s in g)
-    if seen != list(range(card)):
+    for i, g in enumerate(groups):
+        if g.ndim != 1 or not g.size:
+            raise ValueError(f"partition group {i} " + ("is empty" if g.ndim == 1 else
+                             f"must be a flat sequence of states, got shape {g.shape}"))
+    states = np.concatenate(groups)
+    if len(states) != card or (np.sort(states) != np.arange(card)).any():
         raise ValueError(f"partition must cover every state of 0..{card - 1} exactly once")
-    return groups
+    return np.stack([np.bincount(g.astype(np.int64), minlength=card) for g in groups])
+
+
+def _fold(c: np.ndarray, part_a, part_b) -> np.ndarray:
+    """The ``(..., a, b)`` int64 count stack ``c`` with states summed within the groups
+    of ``part_a`` (rows) and ``part_b`` (columns): ``P_a @ c @ P_b.T``, exact in int64."""
+    return _group_matrix(part_a, c.shape[-2]) @ c @ _group_matrix(part_b, c.shape[-1]).T
 
 
 def merge_states(t: CountTable, part_a, part_b) -> CountTable:
     """Merge states by summing cells within partition groups; the total is unchanged."""
-    card_a, card_b = t.counts.shape
-    ga = _check_partition(part_a, card_a)
-    gb = _check_partition(part_b, card_b)
-    out = np.zeros((len(ga), len(gb)), dtype=np.int64)
-    for i, rows in enumerate(ga):
-        for j, cols in enumerate(gb):
-            out[i, j] = t.counts[np.ix_(rows, cols)].sum()
-    return CountTable(_freeze(out))
+    return CountTable(_freeze(_fold(t.counts, part_a, part_b)))
 
 
 def sample_table(p: ProbTable, n: int, gen: np.random.Generator) -> CountTable:

@@ -362,6 +362,29 @@ def test_measure_counts_beyond_int64(tmp_path, capsys, rows):
     assert err.startswith("error: counts too large for int64") and err.count("\n") == 1
 
 
+HUGE = str(10**400)  # past float's range
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--input", "{huge}"], "counts too large for int64: their total is not below 2**63"),
+    (["ess", "--input", "{huge}"], "counts too large for int64: their total is not below 2**63"),
+    (["ess", "--input", "{counts}", "--prior", "{huge}"],
+     "counts too large for int64: their total is not below 2**63"),
+    (["experiment", "fig2", "--seed", HUGE, "--replicates", "1", "--n-values", "25",
+      "--out", "{out}"], f"seed must be an unsigned 64-bit integer, got {HUGE}"),
+    (["experiment", "fig3", "--n-values", HUGE, "--replicates", "1", "--out", "{out}"],
+     f"n must be an integer >= 1 and below 2**63, got {HUGE}"),
+], ids=["measure", "ess", "ess-prior", "fig2-seed", "fig3-n"])
+def test_integers_past_the_float_range_exit_1(tmp_path, capsys, argv, message):
+    # each ended in "OverflowError: int too large to convert to float"
+    paths = {"huge": tmp_path / "huge.txt", "counts": tmp_path / "t.txt", "out": tmp_path / "c.tsv"}
+    paths["huge"].write_text(f"{HUGE} 1\n1 1\n")
+    paths["counts"].write_text("200 100\n100 200\n")
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not paths["out"].exists()
+
+
 def test_measure_large_near_uniform_table(tmp_path, capsys):
     # 201x201 with G just below dof: the p-value needs Q(s, x) at s = 20,000
     # and x near s, where a fixed iteration cap once ended in a traceback

@@ -1,9 +1,9 @@
 """Generated command lines: every argv ends in a documented exit code.
 
 Each command gets flags drawn from valid values and from bad ones (nan, inf,
-negative numbers, integers of 2**63 and more, non-numbers) and input files
-that are well formed, ragged, non-integer, all zero, out of int64 range, not
-UTF-8, led by a UTF-8 byte-order mark, or with a column name given twice.
+negative numbers, integers of 2**63 and more, one of 400 digits, non-numbers)
+and input files that are well formed, ragged, non-integer, all zero, out of
+int64 range, past float's range, not UTF-8, led by a UTF-8 byte-order mark, or with a column name given twice.
 Each study also gets the other study's flag at times (``--z`` for fig2,
 ``--z-grid`` for fig3).
 Whatever the draw, ``main`` returns 0, 1 or 3 or exits 2 through argparse,
@@ -29,7 +29,8 @@ from depscore import MeasureKind  # noqa: E402
 from depscore.cli import MAX_CURVE_POINTS, main  # noqa: E402
 from depscore.experiments import FIG3_MAX_N  # noqa: E402
 
-BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "-0.5", str(2**63), str(2**64 + 1), "1e400", "x", ""]
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "-0.5", str(2**63), str(2**64 + 1), str(10**400),
+               "1e400", "x", ""]
 FRACTIONS = ["0.05", "0.5", "1e-17"]
 FILES = {
     "counts": b"200 100\n100 200\n",
@@ -45,6 +46,7 @@ FILES = {
     "negative": b"-1 2\n3 4\n",
     "huge": f"{2**63} 1\n1 1\n".encode(),
     "total_2_63": f"{2**62} {2**62}\n1 1\n".encode(),
+    "digits_400": f"{10**400} 1\n1 1\n".encode(),
     "empty": b"",
     "comments_only": b"# nothing\n\n",
     "latin1": b"y,a\n\xe9t\xe9,1\nhiver,2\n",

@@ -22,9 +22,10 @@ from depscore import (
     substream,
 )
 from depscore import experiments
+from depscore.cli import main
 from depscore.experiments import FIG2_PARTITIONS, FIG3_MAX_N, _sample_nb_stacks
 from depscore.measures import score, stack_stats
-from depscore.ranking import refinement_increment, refinement_margin, selection_margin
+from depscore.ranking import refinement_margin, selection_margin
 from depscore.tables import DofMode, merge_states
 
 
@@ -277,8 +278,8 @@ def _reference_fig2(z_grid, n_values, replicates, seed, mode, alpha=0.05):
                            for z in z_grid for n in n_values]).reshape(-1, 4, 4)
         coarse = np.array([merge_states(from_counts(c), *FIG2_PARTITIONS).counts
                            for c in counts])
-        fine = stack_stats(counts, mode)
-        within = refinement_increment(fine, stack_stats(coarse, mode))
+        fine, (mi_coarse, d_coarse, _, _) = stack_stats(counts, mode), stack_stats(coarse, mode)
+        within = np.maximum(fine[0] - mi_coarse, 0.0), fine[1] - d_coarse, *fine[2:]
         dead = np.zeros(len(counts), dtype=bool)
         for j, k in enumerate(ALL_MEASURES):
             scores, keys = score(k, *within)
@@ -352,7 +353,7 @@ def test_block_seams_change_nothing(monkeypatch, study, replicates, mode):
                                                  master_seed=8, mode=mode)
         favor2, underflow, dead = _reference_fig3(z, n_values, replicates, 8, mode)
         _assert_curve(curve, favor2, underflow, replicates)
-    assert len(experiments._blocks(replicates, 6 if study == "fig2" else 40)) == \
+    assert len(list(experiments._blocks(replicates, 6 if study == "fig2" else 40))) == \
         -(-replicates // SEAM_BLOCK)
     if replicates > SEAM_BLOCK:
         # the naive p-value underflows in replicates on both sides of a seam
@@ -400,7 +401,28 @@ def test_each_block_scored_once(monkeypatch):
         assert len(calls) == 2 * blocks
     # the default fig3 grid takes 200 tables a replicate, in blocks of 20 replicates
     assert calls == [20 * 10 * 10] * 10
-    assert len(experiments._blocks(100, 200)) == 5
+    assert len(list(experiments._blocks(100, 200))) == 5
+
+
+@pytest.mark.parametrize("replicates", [10**12, 2**63 - 1])
+def test_blocks_are_made_one_at_a_time(replicates):
+    # a list of every block would hold about 8e9 ranges at 10**12 replicates
+    assert next(iter(experiments._blocks(replicates, 33))) == range(0, 124)
+
+
+def test_a_huge_replicate_count_starts_drawing_at_once(monkeypatch, tmp_path):
+    """A valid count of replicates runs as long as asked; the first draw ends this one."""
+    class Drawn(Exception):
+        pass
+
+    def first_draw(seed, r):
+        raise Drawn(seed, r)
+
+    monkeypatch.setattr(experiments, "substream", first_draw)
+    with pytest.raises(Drawn) as drawn:
+        main(["experiment", "fig2", "--replicates", str(10**400), "--n-values", "25",
+              "--out", str(tmp_path / "c.tsv")])
+    assert drawn.value.args == (0, 0) and not (tmp_path / "c.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from depscore import (DofMode, MeasureKind, NaiveBayesModel, format_curve, from_
                       from_samples, make_prob_table, merge_states, run_discretization_experiment,
                       run_feature_selection_experiment, sample_nb_dataset, sample_table,
                       stack_stats, substream)
+from depscore import experiments
 from depscore.experiments import FIG3_MAX_N
 
 P = make_prob_table(np.full((2, 3), 1 / 6))
@@ -49,12 +50,16 @@ ARGUMENTS = [
 ]
 
 
+# past float's range: float(HUGE) overflows
+HUGE = 10**400
+
+
 def _rejected(low, below):
-    return [1.5, "3", [3], low - 1] + ([] if below is None else [below])
+    return [1.5, "3", [3], low - 1] + ([] if below is None else [below, HUGE])
 
 
 @pytest.mark.parametrize("call, rule, value", [
-    pytest.param(call, rule, value, id=f"{name}-{value!r}")
+    pytest.param(call, rule, value, id=f"{name}-{'10**400' if value == HUGE else repr(value)}")
     for name, call, rule, low, below in ARGUMENTS
     for value in _rejected(low, below) + ([True] if low > 1 else [])
 ])
@@ -85,6 +90,23 @@ def test_rejected_sample_size_draws_nothing(draw, n):
     with pytest.raises(ValueError, match=re.escape(f", got {n!r}")):
         draw(n, gen)
     assert gen.bit_generator.state == state
+
+
+def test_integers_past_the_float_range_are_read_exactly():
+    # float(HUGE) raised an OverflowError before any rule was checked
+    assert isinstance(substream(0, HUGE), np.random.Generator)
+    assert experiments._study(HUGE, (), (25,), 0)[0] == HUGE
+    assert run_discretization_experiment(z_grid=(), replicates=HUGE)[25].replicates == HUGE
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: from_counts([[HUGE, 1], [1, 1]]), id="from_counts"),
+    pytest.param(lambda: stack_stats([[[1, 1], [1, 1]], [[1, HUGE], [1, 1]]]), id="stack_stats"),
+])
+def test_counts_past_the_float_range_are_too_large(call):
+    with pytest.raises(ValueError, match=r"^counts too large for int64: their total is not "
+                                         r"below 2\*\*63$"):
+        call()
 
 
 TEXT_COUNTS = [["1", "2"], ["3", "4"]]

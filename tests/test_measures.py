@@ -191,7 +191,7 @@ def test_si_values():
 
 def test_si_fisher_variant():
     t = from_counts([[5, 0], [0, 5]])
-    assert standardized_information(t, DofMode.NOMINAL, fisher_corrected=True) == pytest.approx(
+    assert report(t, DofMode.NOMINAL).si_fisher == pytest.approx(
         math.sqrt(20 * math.log(2.0)) - math.sqrt(0.5), abs=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_si_lower_bound():
 def test_si_requires_dof():
     t = from_counts([[5, 0], [0, 5]])   # effective dof 0, nominal dof 1
     assert math.isnan(standardized_information(t))
-    assert math.isnan(standardized_information(t, fisher_corrected=True))
+    assert math.isnan(report(t).si_fisher)
     assert math.isnan(r_score(t))
     assert all(map(math.isnan, p_value(t)))
     assert standardized_information(t, DofMode.NOMINAL) == math.sqrt(20.0 * math.log(2.0)) - 1.0
@@ -332,7 +332,7 @@ def test_report_matches_components():
     assert rep.indep_std == math.sqrt(dof(t)) / (math.sqrt(2.0) * t.n)
     assert rep.r_score == r_score(t)
     assert rep.si == standardized_information(t)
-    assert rep.si_fisher == standardized_information(t, fisher_corrected=True)
+    assert rep.si_fisher == math.sqrt(2.0 * t.n * mi_plugin(t)) - math.sqrt(dof(t) - 0.5)
     assert rep.ni == normalized_mi(t)
     assert (rep.p_naive, rep.log_p) == p_value(t)
 

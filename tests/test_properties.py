@@ -20,6 +20,7 @@ from depscore import (  # noqa: E402
     r_score,
     standardized_information,
 )
+from depscore.tables import _fold  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -64,6 +65,25 @@ def test_data_processing_inequality_under_merging(data):
     t = data.draw(count_tables())
     part_a, part_b = (data.draw(partition(card)) for card in t.counts.shape)
     assert mi_plugin(merge_states(t, part_a, part_b)) <= mi_plugin(t) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_fold_sums_the_blocks_of_a_partition(data):
+    """One fold of a (G, a, b) stack equals block sums written out, exactly in int64
+    (a cell may be 2**56, past float's 53 bits), and merge_states is it on one table."""
+    g, a, b = (data.draw(st.integers(low, 5)) for low in (1, 2, 2))
+    cells = data.draw(st.lists(st.integers(0, 2**56) | st.integers(0, 9),
+                               min_size=g * a * b, max_size=g * a * b))
+    c = np.array(cells, dtype=np.int64).reshape(g, a, b)
+    part_a, part_b = data.draw(partition(a)), data.draw(partition(b))
+    expected = [[[sum(int(t[r, s]) for r in rows for s in cols) for cols in part_b]
+                 for rows in part_a] for t in c]
+    folded = _fold(c, part_a, part_b)
+    assert folded.dtype == np.int64 and folded.tolist() == expected
+    for t, e in zip(c, expected):
+        if t.any():
+            assert merge_states(from_counts(t), part_a, part_b).counts.tolist() == e
 
 
 @PROPERTY_SETTINGS

@@ -265,7 +265,7 @@ def _public_score(t, kind, mode):
     elif kind is MeasureKind.SI:
         v = standardized_information(t, mode)
     elif kind is MeasureKind.SI_FISHER:
-        v = standardized_information(t, mode, fisher_corrected=True)
+        v = report(t, mode).si_fisher
     elif kind is MeasureKind.NI:
         v = normalized_mi(t)
     else:

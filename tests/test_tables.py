@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ def test_merge_states_rejects_an_empty_group(part_a):
         merge_states(t, part_a, ((0, 1), (2,)))
     with pytest.raises(ValueError, match=empty):
         compare_discretizations(t, (part_a, ((0, 1), (2,))), MeasureKind.SI)
+
+
+@pytest.mark.parametrize("part_a, group, shape", [([0, 1], 0, ()), ([[0], [[1, 2]]], 1, (1, 2))])
+def test_merge_states_rejects_a_group_that_is_not_flat(part_a, group, shape):
+    # a bare state and a nested group ended in a TypeError, not a ValueError
+    t = from_counts([[3, 1], [2, 5], [1, 7]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"partition group {group} must be a flat sequence of states, got shape {shape}")):
+        merge_states(t, part_a, [[0], [1]])
 
 
 def test_merge_states_reads_states_as_from_samples_does():
