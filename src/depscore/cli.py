@@ -1,29 +1,37 @@
 """Command-line surface: ingestion, measure reports, ranking, equivalent
 sample size, and experiment execution.
 
-Two input formats are understood, and one function (`_lines`) holds the
-line rules of both. A *count table file* is a delimiter-separated integer
-matrix; `--prior FILE` is read as one too, so prior weights must be
-integers. A *dataset file* has a header row of variable names followed by
-one sample per row of arbitrary categorical labels; labels map to dense
-indices in first-appearance order per column, and the mapping is echoed in
-output comments so sparse-label behavior is reproducible. `measure` reads
-its input as a dataset when `--pair` is given or a field of the first data
-row is not an integer, and as a count table otherwise. Each line is split
-once. The first data line of a file (a header, or the row `measure` sniffs)
-and the rows of a count table are split as `str`; a dataset's samples, the
-first one included, only by the block splitter, about `_BLOCK_FIELDS` fields
-at a time from their bytes, with labels coded without one Python object per
-field. Each dataset column is one contiguous int32 row of codes, which pair
-tables count unchecked: the codes are in range by construction, so only
-`tables.from_samples`, the entry point for state indices from outside,
-checks them. The rules, the same for both formats:
+Two input formats are understood, under one set of line rules. A *count
+table file* is a delimiter-separated integer matrix; `--prior FILE` is read
+as one too, so prior weights must be integers. A *dataset file* has a header
+row of variable names followed by one sample per row of arbitrary
+categorical labels; labels map to dense indices in first-appearance order
+per column, and the mapping is echoed in output comments so sparse-label
+behavior is reproducible. `measure` reads its input as a dataset when
+`--pair` is given or a field of the first data row is not an integer, and
+as a count table otherwise. A file is read in chunks of whole lines, about
+`_BLOCK_BYTES` bytes each, and each line is split once. The first data line
+of a file (a header, or the row `measure` sniffs) and the rows of a count
+table are split as `str`. A dataset's samples, the first one included, are
+split only by `_block_fields`, a chunk at a time from their bytes: numpy
+finds the fields and lines, and only a line that may be blank or a comment
+(one led by whitespace, or with the wrong number of fields) is read as
+`str`. Labels are coded without one Python object per field, through an
+exact cache of label keys in front of sorted ones. Each dataset column is
+one contiguous int32 row of codes, which pair tables count unchecked: the
+codes are in range by construction, so only `tables.from_samples`, the
+entry point for state indices from outside, checks them. The rules, the
+same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
+  bytes that are not UTF-8 are an error, whose position counts from the
+  start of the chunk that holds them;
+- a line ends at `\\n`, `\\r\\n` or a lone `\\r`;
 - blank lines, and lines whose first non-blank character is `#`, are
   skipped, so a dataset row whose first label starts with `#` is dropped;
 - fields are split on commas if the first row contains one, else on tabs if
-  present, else on runs of whitespace, and empty fields are skipped;
+  present, else on runs of whitespace (what `str.split()` splits on, non-ASCII
+  spaces among it), and empty fields are skipped;
 - every row must have as many fields as the first.
 
 A measure that is undefined for a pair, by the one rule of
@@ -113,11 +121,27 @@ def _fmt(x) -> str:
 # ingestion
 # ---------------------------------------------------------------------------
 
-# Fields of a dataset read at a time: enough that numpy's cost per call is spread
-# thin, few enough that a block's arrays stay near a megabyte.
-_BLOCK_FIELDS = 8192
+# Bytes of a file read at a time: enough that numpy's cost per call is spread thin,
+# few enough that a chunk's arrays stay near a megabyte.
+_BLOCK_BYTES = 1 << 16
+_BOM = b"\xef\xbb\xbf"
 # the first 0..4 bytes of a little-endian 4-byte word
 _BYTE_MASKS = np.array([0, 0xFF, 0xFFFF, 0xFF_FFFF, 0xFFFF_FFFF], dtype=np.uint64)
+# str.split()'s whitespace beyond ASCII, which splits the fields of a whitespace-delimited file
+_WIDE_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+                "\u200a\u2028\u2029\u202f\u205f\u3000")
+# a whitespace-delimited file's ASCII whitespace within a line, as spaces
+_SPACES = bytes.maketrans(b"\t\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 7)
+# The first bytes of a line that may be blank or a comment after its blanks: ASCII
+# whitespace and the lead bytes of the wide spaces. A dataset line is read as str only
+# when it starts with one or has the wrong number of fields.
+_MAY_SKIP = np.zeros(256, dtype=bool)
+_MAY_SKIP[[*(i for i in range(128) if chr(i).isspace()),
+           *(c.encode()[0] for c in _WIDE_SPACES)]] = True
+# An exact cache of round-0 label keys in front of `_label_ids`' sorted keys: a
+# power-of-two table of (key, id) slots, a key's slot the top bits of key * _HASH.
+_CACHE_BITS = 12
+_HASH = np.uint64(0x9E37_79B9_7F4A_7C15)
 _NO_SAMPLE = "need a header row and at least one sample row"  # a dataset file's first check
 
 
@@ -126,37 +150,77 @@ def _delimiter(first_line: str) -> str:
     return "," if "," in first_line else "\t" if "\t" in first_line else " "
 
 
-def _lines(path):
-    """Yield the data lines of ``path`` under the line rules of the module docstring;
-    when the first has neither a comma nor a tab, each line's fields are joined by one space."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        spaces = None
-        for line in fh:
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if spaces is None:
-                spaces = _delimiter(line) == " "
-            yield " ".join(line.split()) if spaces else line.rstrip("\n")
+def _is_data(line: str) -> bool:
+    """Whether ``line`` is a data line: neither blank nor led by ``#`` after its blanks."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+def _split(line: str, delim: str) -> list:
+    """The nonempty fields of ``line``; a space delimiter splits on runs of any whitespace."""
+    return line.split() if delim == " " else [f for f in line.split(delim) if f]
+
+
+class _Chunks:
+    """The bytes of the binary file ``fh``, less a leading byte-order mark, as chunks of
+    whole lines. Each read takes ``size`` more bytes; what follows the last line end
+    (``\\n`` or ``\\r``) waits in ``rest``, ahead of the next read. ``size`` starts at an
+    eighth of ``_BLOCK_BYTES``, so that a dataset's first chunk, whose labels are all
+    new to the label cache, stays small. A line longer than that is read in reads that
+    double, so that it is copied a bounded number of times."""
+
+    def __init__(self, fh):
+        self.fh, self.rest = fh, fh.read(3).removeprefix(_BOM)
+        self.size = max(1, _BLOCK_BYTES // 8)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> bytes:
+        size = self.size
+        while block := self.fh.read(size):
+            data = self.rest + block
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            chunk, self.rest = data[:cut], data[cut:]
+            if chunk:
+                return chunk
+            size = len(data)
+        if not self.rest:
+            raise StopIteration
+        chunk, self.rest = self.rest, b""
+        return chunk
+
+
+def _lines(chunks):
+    """The data lines of ``chunks`` as ``str``: universal newlines, blank and ``#`` lines
+    skipped. Decoding each chunk once checks that it is UTF-8."""
+    for chunk in chunks:
+        yield from filter(_is_data, chunk.decode().replace("\r", "\n").split("\n"))
 
 
 def _arity_error(path, arity: int, width: int) -> ValueError:
     return ValueError(f"{path}: row arity {arity} != first row arity {width}")
 
 
-def _head(path, empty: str):
-    """``(fields, delimiter, lines)``: the first data line of ``path`` split on the delimiter
-    it sets, less empty fields, and the data lines after it; none at all is the error ``empty``."""
-    lines = _lines(path)
-    if (head := next(lines, None)) is None:
-        raise ValueError(f"{path}: {empty}")
-    delim = _delimiter(head)
-    return [f for f in head.split(delim) if f], delim, lines
+def _head(fh, path, empty: str):
+    """``(fields, delimiter, chunks)``: the first data line of the binary file ``fh`` split
+    on the delimiter it sets, and the chunks of the lines after it; none at all is the
+    error ``empty``."""
+    chunks = _Chunks(fh)
+    for chunk in chunks:
+        text, at = chunk.decode(), 0
+        for line in text.replace("\r", "\n").split("\n"):  # "\r\n" ends a line and a blank one
+            at += len(line) + 1
+            if _is_data(line):
+                chunks.rest = chunk[len(text[:at].encode()):] + chunks.rest
+                delim = _delimiter(line)
+                return _split(line, delim), delim, chunks
+    raise ValueError(f"{path}: {empty}")
 
 
-def _count_table(head, delim, lines, path) -> CountTable:
-    """The count table of row ``head`` and of ``lines``, each split on ``delim``."""
+def _count_table(head, delim, chunks, path) -> CountTable:
+    """The count table of row ``head`` and of the data lines of ``chunks``."""
     counts = []
-    for fields in itertools.chain([head], ([f for f in line.split(delim) if f] for line in lines)):
+    for fields in itertools.chain([head], (_split(line, delim) for line in _lines(chunks))):
         if len(fields) != len(head):
             raise _arity_error(path, len(fields), len(head))
         try:
@@ -168,7 +232,8 @@ def _count_table(head, delim, lines, path) -> CountTable:
 
 def read_count_table(path) -> CountTable:
     """Parse a delimiter-separated integer matrix into a CountTable."""
-    return _count_table(*_head(path, "no data rows"), path)
+    with open(path, "rb") as fh:
+        return _count_table(*_head(fh, path, "no data rows"), path)
 
 
 class Dataset:
@@ -206,23 +271,31 @@ class Dataset:
 
 
 def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: list,
-               labels: list) -> np.ndarray:
+               labels: list, cache: tuple) -> np.ndarray:
     """Int32 ids of the labels ``text[s:s + n]``: equal exactly for equal labels,
-    over every call that shares ``rounds`` and ``labels``.
+    over every call that shares ``rounds``, ``labels`` and ``cache``.
 
     A label is read 4 bytes at a time, so ``text`` must hold 3 bytes past its
     last label. Round 0's key is the label's byte length and its first 4
     bytes; round r's key is its id from round r - 1 and its next 4 bytes.
     ``rounds[r]`` holds round r's known keys, sorted, with their ids; a key not
     yet known gets the next id. ``labels[i]`` is the label that id ``i`` ends,
-    or None for an id that only starts longer labels.
+    or None for an id that only starts longer labels. ``cache`` is a pair of
+    arrays, slot keys (0 for none, which no key is) and slot ids: a round-0 key
+    found in its slot takes the slot's id, and only the others are looked up
+    in ``rounds[0]``, which then puts them in their slots.
     """
     buf = np.frombuffer(text, dtype=np.uint8)
     words = np.ndarray(buf.size - 3, dtype="<u4", buffer=buf, strides=(1,))
-    ids = np.empty(lengths.size, dtype=np.int32)
-    todo, at, rest, prev = slice(None), starts, lengths, lengths.astype(np.uint64)
+    slot_keys, slot_ids = cache
+    at, rest, prev = starts, lengths, lengths.astype(np.uint64)
     for r in itertools.count():
-        keys = (prev << 32) | (words.take(at) & _BYTE_MASKS[np.minimum(rest, 4)])
+        keys = (prev << 32) | (words.take(at) & _BYTE_MASKS.take(np.minimum(rest, 4)))
+        if r == 0:  # the cache answers the keys it holds; the rest are looked up
+            slots = ((keys * _HASH) >> np.uint64(64 - _CACHE_BITS)).view(np.intp)
+            ids = slot_ids.take(slots)
+            todo = np.flatnonzero(slot_keys.take(slots) != keys)
+            keys, at, rest = keys[todo], at[todo], rest[todo]
         if r == len(rounds):  # an end marker above every key (UTF-8 has no 0xFF byte)
             rounds.append((np.array([2**64 - 1], dtype=np.uint64), np.zeros(1, np.int32)))
         known, known_ids = rounds[r]
@@ -237,6 +310,11 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
                 known_ids, where, np.arange(len(labels) - new.size, len(labels))))
             pos = np.searchsorted(known, keys)
         ids[todo] = known_ids[pos]
+        if r == 0:  # of the keys that share a slot, the one left in it sets its id
+            slots = slots[todo]
+            slot_keys[slots] = keys
+            left = slot_keys.take(slots) == keys
+            slot_ids[slots[left]] = ids[todo[left]]
         todo = np.flatnonzero(lengths > 4 * (r + 1))
         if not todo.size:
             return ids
@@ -244,46 +322,74 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
         prev = ids[todo].astype(np.uint64)
 
 
-def _block_fields(block: list, delim: int, width: int, path) -> tuple:
-    """``(text, starts, lengths)`` of the nonempty fields of the lines ``block``, once
-    each has ``width`` of them: a field ends at the byte ``delim`` or at a newline."""
-    text = ("\n".join(block) + "\n\0\0\0").encode()
+def _block_fields(chunk: bytes, delim: int, width: int) -> tuple:
+    """``(text, starts, lengths, arity)``: the nonempty fields ``text[s:s + n]`` of the
+    data lines of ``chunk``, and each line's count of them. A field ends at the byte
+    ``delim`` or at a line end, and ``text`` holds 3 bytes past the last field."""
+    chars = chunk.decode()  # checks the chunk is UTF-8
+    if delim == 32 and not chars.isascii():  # str.split()'s wide spaces split fields
+        for c in _WIDE_SPACES:
+            chars = chars.replace(c, " ")
+        chunk = chars.encode()
+    if b"\r" in chunk:  # universal newlines
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if delim == 32:
+        chunk = chunk.translate(_SPACES)
+    text = chunk + (b"\0\0\0" if chunk.endswith(b"\n") else b"\n\0\0\0")
     buf = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero((buf == delim) | (buf == 10))
     lengths = np.diff(ends, prepend=-1) - 1
-    keep = lengths > 0
-    # a line's fields, less its (rare) empty ones: both counted up to its newline
-    newlines = np.flatnonzero(buf[ends] == 10)
-    arity = np.diff(newlines + 1 - np.searchsorted(np.flatnonzero(~keep), newlines,
-                                                   side="right"), prepend=0)
-    if (bad := np.flatnonzero(arity != width)).size:
-        raise _arity_error(path, int(arity[bad[0]]), width)
-    return text, (ends - lengths)[keep], lengths[keep]
+    line_ends = np.flatnonzero(buf == 10)
+    newlines = np.searchsorted(ends, line_ends)
+    if (keep := lengths > 0).all():
+        arity = np.diff(newlines, prepend=-1)
+    else:  # a line's fields, less its (rare) empty ones: both counted up to its line end
+        arity = np.diff(newlines + 1 - np.searchsorted(np.flatnonzero(~keep), newlines,
+                                                       side="right"), prepend=0)
+        ends, lengths = ends[keep], lengths[keep]
+    # blank and comment lines: a line led by '#' is a comment, and each other line
+    # that may be one is read as str
+    firsts = np.concatenate(([0], line_ends[:-1] + 1))
+    data = (first := buf.take(firsts)) != ord("#")
+    maybe = np.flatnonzero(data & ((arity != width) | _MAY_SKIP.take(first)))
+    for i, a, b in zip(maybe.tolist(), firsts[maybe].tolist(), line_ends[maybe].tolist()):
+        data[i] = _is_data(text[a:b].decode())
+    if not data.all():
+        ends, lengths = (x[np.repeat(data, arity)] for x in (ends, lengths))
+        arity = arity[data]
+    return text, ends - lengths, lengths, arity
 
 
-def _dataset(names, delim, lines, path) -> Dataset:
-    """The dataset of header ``names`` and of samples ``lines``, split on ``delim``."""
-    if (sample := next(lines, None)) is None:
-        raise ValueError(f"{path}: {_NO_SAMPLE}")
+def _dataset(names, delim, chunks, path) -> Dataset:
+    """The dataset of header ``names`` and of the samples in ``chunks``, split on ``delim``."""
     width, delim = len(names), ord(delim)
-    fields = _block_fields([sample], delim, width, path)  # its arity comes before the header's
-    if width < 2:
-        raise ValueError(f"{path}: need at least two columns")
-    seen: set = set()
-    for nm in names:
-        if nm in seen:
-            raise ValueError(f"{path}: column name {nm!r} is repeated in the header")
-        seen.add(nm)
-    # the samples, a block of lines at a time; a label's id is the same in every block
+    # the samples, a chunk at a time; a label's id is the same in every chunk
     rounds: list = []
     labels: list = []
+    cache = np.zeros(1 << _CACHE_BITS, dtype=np.uint64), np.zeros(1 << _CACHE_BITS, np.int32)
     blocks = []
-    while fields:
-        blocks.append(_label_ids(*fields, rounds, labels).reshape(-1, width))
-        # a block also holds an eighth as many fields as there are ids, so that the
-        # sorted keys grow by a share at a time and merging into them stays linear
-        block = list(itertools.islice(lines, max(1, max(_BLOCK_FIELDS, len(labels) // 8) // width)))
-        fields = block and _block_fields(block, delim, width, path)
+    for chunk in chunks:
+        text, starts, lengths, arity = _block_fields(chunk, delim, width)
+        if not arity.size:
+            continue
+        if not blocks:  # the first sample's arity comes before the header's checks
+            if arity[0] != width:
+                raise _arity_error(path, int(arity[0]), width)
+            if width < 2:
+                raise ValueError(f"{path}: need at least two columns")
+            seen: set = set()
+            for nm in names:
+                if nm in seen:
+                    raise ValueError(f"{path}: column name {nm!r} is repeated in the header")
+                seen.add(nm)
+        if (bad := np.flatnonzero(arity != width)).size:
+            raise _arity_error(path, int(arity[bad[0]]), width)
+        blocks.append(_label_ids(text, starts, lengths, rounds, labels, cache).reshape(-1, width))
+        # a chunk also takes as many bytes as there are label ids, so that the sorted
+        # keys grow by a share at a time and merging into them stays linear
+        chunks.size = max(_BLOCK_BYTES, len(labels))
+    if not blocks:
+        raise ValueError(f"{path}: {_NO_SAMPLE}")
     # one contiguous row of ids per column, written a block at a time
     n = sum(len(b) for b in blocks)
     ids = np.empty((width, n), dtype=np.int32)
@@ -307,7 +413,8 @@ def _dataset(names, delim, lines, path) -> Dataset:
 
 def read_dataset(path) -> Dataset:
     """Parse a header-plus-samples categorical data file."""
-    return _dataset(*_head(path, _NO_SAMPLE), path)
+    with open(path, "rb") as fh:
+        return _dataset(*_head(fh, path, _NO_SAMPLE), path)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +422,24 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _cmd_measure(args) -> int:
-    head, delim, lines = _head(args.input, "empty input")
-    try:  # a count table, unless --pair names columns or the first row is not all integers
-        [int(f) for f in head]
-        dataset = bool(args.pair)
-    except ValueError:
-        dataset = True
+    with open(args.input, "rb") as fh:
+        head, delim, chunks = _head(fh, args.input, "empty input")
+        try:  # a count table, unless --pair names columns or the first row is not all integers
+            [int(f) for f in head]
+            dataset = bool(args.pair)
+        except ValueError:
+            dataset = True
+        if dataset:
+            ds = _dataset(head, delim, chunks, args.input)
+        else:
+            table = _count_table(head, delim, chunks, args.input)
     notes = []
     if dataset:
-        ds = _dataset(head, delim, lines, args.input)
         pair = args.pair or ds.names
         if len(pair) != 2:
             raise ValueError("--pair NAME NAME required for datasets with more than two columns")
         table = ds.pair_table(*pair)
         notes = [f"# labels {nm}: " + " ".join(ds.labels[ds.column(nm)]) for nm in pair]
-    else:
-        table = _count_table(head, delim, lines, args.input)
     rep = report(table, DofMode(args.dof))
     if any(math.isnan(getattr(rep, f.name)) for f in fields(rep)):
         notes.append(_UNDEFINED_NOTE)

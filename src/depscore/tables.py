@@ -201,6 +201,10 @@ def dof(t: CountTable, mode: DofMode = DofMode.EFFECTIVE) -> int:
 def _group_matrix(part, card: int) -> np.ndarray:
     """The 0/1 ``(groups, card)`` matrix of ``part``, a partition of the states 0..card-1 into
     nonempty flat groups, read as :func:`from_samples` reads indices (``True`` is state 1)."""
+    try:
+        part = list(part)
+    except TypeError:
+        raise ValueError(f"a partition must be a sequence of groups, got {part!r}") from None
     groups = [_integers(g, "state indices must be integers") for g in part]
     if len(groups) < 2:
         raise ValueError("a partition must have at least 2 groups")

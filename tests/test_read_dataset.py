@@ -1,22 +1,26 @@
 """``read_dataset`` against a reference reader that splits one line at a time.
 
 The reference keeps the reading rules of the command line: UTF-8 with an
-optional byte-order mark, blank and ``#`` lines skipped, the delimiter
-sniffed from the first line, empty fields dropped, every row as wide as the
-first, and labels coded per column in order of first appearance. The
-generated files mix comma, tab and whitespace delimiters, repeated
-delimiters and delimiters at either end of a line, comment and blank lines,
-CRLF line endings and labels of 1-13 UTF-8 bytes (non-ASCII and NUL among
-them, and labels that differ only after their first 4 or 8 bytes or by a
-trailing NUL). Longer labels first appear in later rows, and the reader takes
-blocks of as few as one line, so they first appear in a later block. At
-times a file has one or two rows of the wrong arity, a repeated header name,
-or both with the first sample among the wrong rows, and then both readers
-must raise the same message. Every column the reader returns must be a
-contiguous row, and the pair table it tabulates from two of them must equal
-``from_samples`` on the same codes. ``measure`` without ``--pair`` reads each
-file as a dataset too, and must fail with the same message, or else report
-the pair that a two-column file names.
+optional byte-order mark, universal newlines, blank and ``#`` lines skipped,
+the delimiter sniffed from the first line, empty fields dropped, every row as
+wide as the first, and labels coded per column in order of first appearance.
+The generated files mix comma, tab and whitespace delimiters, repeated
+delimiters and delimiters at either end of a line, comment lines (some led by
+blanks, ASCII or not) and blank ones, LF, CRLF and lone CR line ends, and
+labels of 1-13 UTF-8 bytes (non-ASCII and NUL among them, and labels that
+differ only after their first 4 or 8 bytes or by a trailing NUL). Whitespace-
+delimited files also split on NBSP, U+2028 and ``\x1c``-``\x1f``, which other
+files hold as label bytes. Longer labels first appear in later rows, and the
+reader takes as few as one byte at a time, so a label's bytes and a CRLF pair
+straddle reads. At times a file has one or two rows of the wrong arity, a
+repeated header name, both with the first sample among the wrong rows, or
+bytes that are not UTF-8, and then both readers must raise the same message
+(for UTF-8, the same reason and bytes: the position counts from the start of
+the chunk read). Every column the reader returns must be a contiguous row,
+and the pair table it tabulates from two of them must equal ``from_samples``
+on the same codes. ``measure`` without ``--pair`` reads each file as a
+dataset too, and must fail with the same message, or else report the pair
+that a two-column file names.
 """
 
 from __future__ import annotations
@@ -39,11 +43,17 @@ from depscore.tables import from_samples  # noqa: E402
 # characters of 1 to 4 UTF-8 bytes, NUL and '#' among them
 LABEL_CHARS = "ab#0\0éß€𝄞"
 # what a label may hold besides LABEL_CHARS, for each delimiter (never the delimiter)
-EXTRA_CHARS = {",": "\t \x0b\u2028", "\t": ", \x85", " ": ","}
+EXTRA_CHARS = {",": "\t \x0b\xa0\u2028\x1c\x1f", "\t": ", \x85\xa0\x1d\x1e", " ": ","}
 # what separates two fields, and what a line may start or end with
-SEPARATORS = {",": [",", ",,"], "\t": ["\t", "\t\t"], " ": [" ", "  ", "\t", " \t\x0b"]}
-EDGES = {",": ["", ","], "\t": ["", "\t"], " ": ["", " ", "\t"]}
-NOISE_LINES = ["", "  ", "\t", "# a comment", "  #x,y\tz"]
+SEPARATORS = {",": [",", ",,"], "\t": ["\t", "\t\t"],
+              " ": [" ", "  ", "\t", " \t\x0b", "\xa0", "\u2028", "\x1c", "\x1d\x1e", " \x1f"]}
+EDGES = {",": ["", ","], "\t": ["", "\t"], " ": ["", " ", "\t", "\xa0", "\x1f"]}
+NOISE_LINES = ["", "  ", "\t", "\xa0", "\u2028\x1c", "# a comment", "  #x,y\tz", "\t# x",
+               "\xa0\u3000#,"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+# byte runs that are not UTF-8: a stray continuation byte, a byte no UTF-8 holds,
+# a lead byte without its continuation, and an encoded surrogate
+NOT_UTF8 = [b"\x80", b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]
 
 
 def reference_rows(path):
@@ -80,14 +90,22 @@ def reference_read(path):
         for row in [first, *rows]:
             for m, c, label in zip(maps, columns, row):
                 c.append(m.setdefault(label, len(m)))
+    except UnicodeDecodeError as exc:
+        return not_utf8(exc)
     except ValueError as exc:
         return str(exc)
     return names, [list(m) for m in maps], columns
 
 
+def not_utf8(exc: UnicodeDecodeError) -> tuple:
+    """What a UTF-8 error says besides where the chunk it counts from starts."""
+    return exc.reason, exc.object[exc.start:exc.end]
+
+
 @st.composite
 def dataset_files(draw):
-    """``(file bytes, lines per block or None for the default, header width)``."""
+    """``(file bytes, bytes per read, bits of the label cache, header width)``, None
+    for the reader's own value."""
     delim = draw(st.sampled_from(sorted(SEPARATORS)))
     def at_most_13_bytes(s):
         return s.encode()[:13].decode("utf-8", "ignore")
@@ -104,7 +122,7 @@ def dataset_files(draw):
                     key=lambda s: len(s.encode())) for _ in names]
     rows = [[pool[draw(st.integers(0, min(i, len(pool) - 1)))] for pool in pools]
             for i in range(draw(st.integers(1, 10)))]
-    fault = draw(st.sampled_from([None, None, "arity", "header", "both"]))
+    fault = draw(st.sampled_from([None, None, "arity", "header", "both", "utf8"]))
     if fault == "arity":  # one or two rows; the first is the one named
         ragged = [draw(st.integers(0, len(rows) - 1)) for _ in range(draw(st.integers(1, 2)))]
     else:  # under both faults the first sample, whose arity error comes before the header's
@@ -123,13 +141,19 @@ def dataset_files(draw):
     # the header alone sets the delimiter, so under whitespace it holds only spaces
     header_seps, header_edges = (([" "], ["", " "]) if delim == " "
                                  else (SEPARATORS[delim], EDGES[delim]))
-    lines = [line(names, header_seps, header_edges)]
+    lines = draw(st.lists(st.sampled_from(NOISE_LINES), max_size=1))
+    lines.append(line(names, header_seps, header_edges))
     for row in rows:
         lines += draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
         lines.append(line(row, SEPARATORS[delim], EDGES[delim]))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
-    bom = draw(st.sampled_from(["", "\ufeff"]))
-    return (bom + text).encode(), draw(st.sampled_from([1, 2, 3, None])), width
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = "".join(map(str.__add__, lines, ends[:-1] + [draw(st.sampled_from(["", "\n"]))]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+    if fault == "utf8":  # anywhere, even inside a character or at the end
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return (data, draw(st.sampled_from([1, 2, 3, 5, 8, None])),
+            draw(st.sampled_from([1, 2, None])), width)
 
 
 @pytest.fixture(scope="module")
@@ -140,14 +164,18 @@ def path(tmp_path_factory):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(data=dataset_files())
 def test_read_dataset_matches_a_per_line_reader(path, data):
-    text, block_lines, width = data
+    text, block_bytes, cache_bits, width = data
     path.write_bytes(text)
     expected = reference_read(path)
     with pytest.MonkeyPatch.context() as mp:
-        if block_lines:
-            mp.setattr(cli, "_BLOCK_FIELDS", block_lines * width)
+        if block_bytes:
+            mp.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        if cache_bits:  # two or four slots, so that labels share them
+            mp.setattr(cli, "_CACHE_BITS", cache_bits)
         try:
             ds = read_dataset(path)
+        except UnicodeDecodeError as exc:
+            assert not_utf8(exc) == expected
         except ValueError as exc:
             assert str(exc) == expected
         else:
@@ -172,7 +200,7 @@ def run(argv) -> tuple[int, str, str]:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=dataset_files())
 def test_measure_reads_a_dataset_as_read_dataset_does(path, data):
-    text, _, width = data
+    text, _, _, width = data
     path.write_bytes(text)
     try:
         ds = read_dataset(path)

@@ -233,6 +233,20 @@ def test_merge_states_rejects_a_group_that_is_not_flat(part_a, group, shape):
         merge_states(t, part_a, [[0], [1]])
 
 
+@pytest.mark.parametrize("part", [5, None])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_partition_that_is_not_a_sequence_is_a_value_error(part, side):
+    # iterating the partition's groups ended in "'int' object is not iterable"
+    t = from_counts([[3, 1], [2, 5]])
+    partitions = [[[0], [1]], [[0], [1]]]
+    partitions[side] = part
+    message = re.escape(f"a partition must be a sequence of groups, got {part!r}")
+    with pytest.raises(ValueError, match=message):
+        merge_states(t, *partitions)
+    with pytest.raises(ValueError, match=message):
+        compare_discretizations(t, partitions, MeasureKind.SI)
+
+
 def test_merge_states_reads_states_as_from_samples_does():
     # False and True are states 0 and 1, and 1.0 is state 1, not a boolean mask
     # or an IndexError
