@@ -11,21 +11,27 @@ behavior is reproducible. `measure` reads its input as a dataset when
 `--pair` is given or a field of the first data row is not an integer, and
 as a count table otherwise. A file is read in chunks of whole lines, about
 `_BLOCK_BYTES` bytes each, and each line is split once. The first data line
-of a file (a header, or the row `measure` sniffs) and the rows of a count
-table are split as `str`. A dataset's samples, the first one included, are
-split only by `_block_fields`, a chunk at a time from their bytes: numpy
-finds the fields and lines, and only a line that may be blank or a comment
-(one led by whitespace, or with the wrong number of fields) is read as
-`str`. Labels are coded without one Python object per field, through an
-exact cache of label keys in front of sorted ones. Each dataset column is
+of a file (a header, or the row `measure` sniffs) is split as `str`. A
+dataset's samples, the first one included, are split only by
+`_block_fields`, a chunk at a time from their bytes: numpy finds the fields
+and lines, and only a line that may be blank or a comment (one led by
+whitespace, or with the wrong number of fields) is read as `str`. The rows
+of a count table are split the same way, and their digits read with numpy,
+in a chunk of at least `_NUMPY_BYTES` bytes that holds only ASCII digits,
+line ends and what splits its fields, and whose every row has the first
+row's width in fields of at most 18 digits; every other chunk is split as
+`str` and its fields read with `int()`, which also raises the errors. Labels
+are coded without one Python object per field, through an exact cache of
+label keys in front of sorted ones; a label longer than `_LONG_LABEL` bytes
+is keyed by its bytes in a dict. Each dataset column is
 one contiguous int32 row of codes, which pair tables count unchecked: the
 codes are in range by construction, so only `tables.from_samples`, the
 entry point for state indices from outside, checks them. The rules, the
 same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
-  bytes that are not UTF-8 are an error, whose position counts from the
-  start of the chunk that holds them;
+  bytes that are not UTF-8 are an error that names the file offset of the
+  first bad one, the mark counted;
 - a line ends at `\\n`, `\\r\\n` or a lone `\\r`;
 - blank lines, and lines whose first non-blank character is `#`, are
   skipped, so a dataset row whose first label starts with `#` is dropped;
@@ -142,7 +148,22 @@ _MAY_SKIP[[*(i for i in range(128) if chr(i).isspace()),
 # power-of-two table of (key, id) slots, a key's slot the top bits of key * _HASH.
 _CACHE_BITS = 12
 _HASH = np.uint64(0x9E37_79B9_7F4A_7C15)
+# the longest label, in bytes, coded through `_label_ids`' sorted keys (longer ones, a
+# round of numpy calls per 4 bytes there, are keyed by their bytes in a dict)
+_LONG_LABEL = 32
 _NO_SAMPLE = "need a header row and at least one sample row"  # a dataset file's first check
+# A count table's chunk of at least this many bytes is parsed with numpy when it is plain:
+# it holds only ASCII digits, line ends and what splits its fields. Below it, str costs less.
+_NUMPY_BYTES = 1024
+_PLAIN = {",": b"0123456789\n\r,", "\t": b"0123456789\n\r\t",
+          " ": b"0123456789\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f"}
+# For a field of n digits at the end of a word, n <= 8, the low 4 bits of each of
+# its digits; the bytes ahead of it become 0, the digit 0. Then the steps that sum a
+# word of 8 digits: (scale, shift, mask) for digit pairs, then fours, then eights.
+_DIGIT_MASKS = np.array([0x0F0F_0F0F_0F0F_0F0F & -(1 << 8 * (8 - n)) for n in range(9)],
+                        dtype=np.uint64)
+_DIGIT_SUMS = [(np.uint64(scale), np.uint64(shift), np.uint64(mask)) for scale, shift, mask in (
+    (10, 8, 0x00FF_00FF_00FF_00FF), (100, 16, 0x0000_FFFF_0000_FFFF), (10_000, 32, 0xFFFF_FFFF))]
 
 
 def _delimiter(first_line: str) -> str:
@@ -166,11 +187,25 @@ class _Chunks:
     (``\\n`` or ``\\r``) waits in ``rest``, ahead of the next read. ``size`` starts at an
     eighth of ``_BLOCK_BYTES``, so that a dataset's first chunk, whose labels are all
     new to the label cache, stays small. A line longer than that is read in reads that
-    double, so that it is copied a bounded number of times."""
+    double, so that it is copied a bounded number of times.
+
+    ``start`` is the file offset of the last chunk, and ``at`` that of ``rest``. In a
+    ``with`` block, a UnicodeDecodeError, which comes from decoding the last chunk
+    whole, becomes a ValueError that names the file offset of the first bad byte."""
 
     def __init__(self, fh):
-        self.fh, self.rest = fh, fh.read(3).removeprefix(_BOM)
+        head = fh.read(3)
+        self.fh, self.rest = fh, head.removeprefix(_BOM)
+        self.start = self.at = len(head) - len(self.rest)
         self.size = max(1, _BLOCK_BYTES // 8)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, UnicodeDecodeError):
+            raise ValueError(f"{self.fh.name}: not UTF-8 at byte {self.start + exc.start} of "
+                             f"the file ({exc.reason})") from None
 
     def __iter__(self):
         return self
@@ -180,60 +215,115 @@ class _Chunks:
         while block := self.fh.read(size):
             data = self.rest + block
             cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-            chunk, self.rest = data[:cut], data[cut:]
-            if chunk:
-                return chunk
-            size = len(data)
+            if cut:
+                return self._take(data, cut)
+            self.rest, size = data, len(data)
         if not self.rest:
             raise StopIteration
-        chunk, self.rest = self.rest, b""
-        return chunk
+        return self._take(self.rest, len(self.rest))
 
+    def _take(self, data: bytes, cut: int) -> bytes:
+        self.start, self.at, self.rest = self.at, self.at + cut, data[cut:]
+        return data[:cut]
 
-def _lines(chunks):
-    """The data lines of ``chunks`` as ``str``: universal newlines, blank and ``#`` lines
-    skipped. Decoding each chunk once checks that it is UTF-8."""
-    for chunk in chunks:
-        yield from filter(_is_data, chunk.decode().replace("\r", "\n").split("\n"))
+    def unread(self, tail: bytes) -> None:
+        """Put ``tail``, the end of the last chunk, back ahead of the next read."""
+        self.rest, self.at = tail + self.rest, self.at - len(tail)
 
 
 def _arity_error(path, arity: int, width: int) -> ValueError:
     return ValueError(f"{path}: row arity {arity} != first row arity {width}")
 
 
-def _head(fh, path, empty: str):
-    """``(fields, delimiter, chunks)``: the first data line of the binary file ``fh`` split
-    on the delimiter it sets, and the chunks of the lines after it; none at all is the
-    error ``empty``."""
-    chunks = _Chunks(fh)
+def _head(chunks: _Chunks, path, empty: str):
+    """``(fields, delimiter)``: the first data line of ``chunks`` split on the delimiter
+    it sets, the rest of its chunk put back; none at all is the error ``empty``."""
     for chunk in chunks:
         text, at = chunk.decode(), 0
         for line in text.replace("\r", "\n").split("\n"):  # "\r\n" ends a line and a blank one
             at += len(line) + 1
             if _is_data(line):
-                chunks.rest = chunk[len(text[:at].encode()):] + chunks.rest
+                chunks.unread(chunk[len(text[:at].encode()):])
                 delim = _delimiter(line)
-                return _split(line, delim), delim, chunks
+                return _split(line, delim), delim
     raise ValueError(f"{path}: {empty}")
 
 
-def _count_table(head, delim, chunks, path) -> CountTable:
-    """The count table of row ``head`` and of the data lines of ``chunks``."""
-    counts = []
-    for fields in itertools.chain([head], (_split(line, delim) for line in _lines(chunks))):
-        if len(fields) != len(head):
-            raise _arity_error(path, len(fields), len(head))
+def _int_rows(rows, width: int, path) -> list:
+    """The split ``rows``, each ``width`` fields long, as lists of ``int()`` of each field."""
+    out = []
+    for fields in rows:
+        if len(fields) != width:
+            raise _arity_error(path, len(fields), width)
         try:
-            counts.append([int(f) for f in fields])
+            out.append([int(f) for f in fields])
         except ValueError:
             raise ValueError(f"{path}: non-integer entry in count table") from None
+    return out
+
+
+def _digit_values(words: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 values of the fields of 1 to 18 ASCII digits, ``lengths`` long, whose
+    last 8 bytes are the little-endian ``words[ends]``: the bytes ahead of a field
+    become 0, the digit 0, and its digits are summed in pairs, then in fours, then in
+    eights. A field's digits ahead of its last 8 are the words 8 bytes earlier."""
+    w = words[ends]  # take() would copy all of the strided words first
+    high = _DIGIT_MASKS.take(lengths, mode="clip")
+    w &= high
+    for scale, shift, mask in _DIGIT_SUMS:
+        np.right_shift(w, shift, out=high)
+        w *= scale
+        w += high
+        w &= mask
+    values = w.view(np.int64)
+    if (long := np.flatnonzero(lengths > 8)).size:
+        values[long] += _digit_values(words, ends[long] - 8, lengths[long] - 8) * 10**8
+    return values
+
+
+def _plain_counts(chunk: bytes, delim: str, width: int):
+    """The rows of ``chunk`` as an int64 array, parsed with numpy, or None for a chunk
+    that is not plain or that has a row that is not ``width`` fields of at most 18
+    digits; :func:`_int_rows` reads those, and raises their errors in order."""
+    if chunk.translate(None, _PLAIN[delim]):
+        return None
+    text, ends, lengths, arity = _block_fields(chunk, ord(delim), width)
+    if (arity != width).any() or lengths.max(initial=0) > 18:
+        return None
+    ends += lengths  # from the fields' starts
+    buf = np.frombuffer(bytes(8) + text, dtype=np.uint8)  # 8 bytes end at every field's end
+    words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))
+    return _digit_values(words, ends, lengths).reshape(arity.size, width)
+
+
+def _count_table(head, delim, chunks, path) -> CountTable:
+    """The count table of row ``head`` and of the data lines of ``chunks``: a chunk of
+    ``_NUMPY_BYTES`` or more is parsed with numpy where it is plain, and every other
+    one is split as ``str``, a line at a time."""
+    width, rows, parts = len(head), _int_rows([head], len(head), path), []
+    chunks.size = _BLOCK_BYTES
+    for chunk in chunks:
+        if len(chunk) >= _NUMPY_BYTES and (block := _plain_counts(chunk, delim, width)) is not None:
+            parts += [rows, block]
+            rows = []
+        else:
+            lines = filter(_is_data, chunk.decode().replace("\r", "\n").split("\n"))
+            rows += _int_rows((_split(line, delim) for line in lines), width, path)
+    if not parts:
+        return from_counts(rows)
+    parts.append(rows)
+    try:
+        counts = np.concatenate([np.asarray(p, dtype=np.int64).reshape(len(p), width)
+                                 for p in parts])
+    except OverflowError:  # a count past int64: from_counts reads its Python int
+        counts = [row for p in parts for row in (p if isinstance(p, list) else p.tolist())]
     return from_counts(counts)
 
 
 def read_count_table(path) -> CountTable:
     """Parse a delimiter-separated integer matrix into a CountTable."""
-    with open(path, "rb") as fh:
-        return _count_table(*_head(fh, path, "no data rows"), path)
+    with open(path, "rb") as fh, _Chunks(fh) as chunks:
+        return _count_table(*_head(chunks, path, "no data rows"), chunks, path)
 
 
 class Dataset:
@@ -275,19 +365,34 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
     """Int32 ids of the labels ``text[s:s + n]``: equal exactly for equal labels,
     over every call that shares ``rounds``, ``labels`` and ``cache``.
 
-    A label is read 4 bytes at a time, so ``text`` must hold 3 bytes past its
-    last label. Round 0's key is the label's byte length and its first 4
+    A label of up to ``_LONG_LABEL`` bytes is read 4 bytes at a time, so
+    ``text`` must hold 3 bytes past its last label. Round 0's key is the label's byte length and its first 4
     bytes; round r's key is its id from round r - 1 and its next 4 bytes.
     ``rounds[r]`` holds round r's known keys, sorted, with their ids; a key not
     yet known gets the next id. ``labels[i]`` is the label that id ``i`` ends,
-    or None for an id that only starts longer labels. ``cache`` is a pair of
+    or None for an id that only starts longer labels. ``cache`` holds two
     arrays, slot keys (0 for none, which no key is) and slot ids: a round-0 key
     found in its slot takes the slot's id, and only the others are looked up
-    in ``rounds[0]``, which then puts them in their slots.
+    in ``rounds[0]``, which then puts them in their slots. Its third part is
+    the dict that gives a longer label, which would take a round per 4 of its
+    bytes, its id, keyed by its bytes.
     """
+    if lengths.max(initial=0) > _LONG_LABEL:
+        long = lengths > _LONG_LABEL
+        keys = [text[s:s + n] for s, n in zip(starts[long].tolist(), lengths[long].tolist())]
+        long_ids = cache[2]
+        for key in keys:
+            if key not in long_ids:
+                long_ids[key] = len(labels)
+                labels.append(key.decode())
+        ids = np.empty(lengths.size, dtype=np.int32)
+        ids[long] = [long_ids[key] for key in keys]
+        short = ~long
+        ids[short] = _label_ids(text, starts[short], lengths[short], rounds, labels, cache)
+        return ids
     buf = np.frombuffer(text, dtype=np.uint8)
     words = np.ndarray(buf.size - 3, dtype="<u4", buffer=buf, strides=(1,))
-    slot_keys, slot_ids = cache
+    slot_keys, slot_ids, _ = cache
     at, rest, prev = starts, lengths, lengths.astype(np.uint64)
     for r in itertools.count():
         keys = (prev << 32) | (words.take(at) & _BYTE_MASKS.take(np.minimum(rest, 4)))
@@ -366,7 +471,8 @@ def _dataset(names, delim, chunks, path) -> Dataset:
     # the samples, a chunk at a time; a label's id is the same in every chunk
     rounds: list = []
     labels: list = []
-    cache = np.zeros(1 << _CACHE_BITS, dtype=np.uint64), np.zeros(1 << _CACHE_BITS, np.int32)
+    cache = (np.zeros(1 << _CACHE_BITS, dtype=np.uint64), np.zeros(1 << _CACHE_BITS, np.int32),
+             {})
     blocks = []
     for chunk in chunks:
         text, starts, lengths, arity = _block_fields(chunk, delim, width)
@@ -413,8 +519,8 @@ def _dataset(names, delim, chunks, path) -> Dataset:
 
 def read_dataset(path) -> Dataset:
     """Parse a header-plus-samples categorical data file."""
-    with open(path, "rb") as fh:
-        return _dataset(*_head(fh, path, _NO_SAMPLE), path)
+    with open(path, "rb") as fh, _Chunks(fh) as chunks:
+        return _dataset(*_head(chunks, path, _NO_SAMPLE), chunks, path)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +528,8 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _cmd_measure(args) -> int:
-    with open(args.input, "rb") as fh:
-        head, delim, chunks = _head(fh, args.input, "empty input")
+    with open(args.input, "rb") as fh, _Chunks(fh) as chunks:
+        head, delim = _head(chunks, args.input, "empty input")
         try:  # a count table, unless --pair names columns or the first row is not all integers
             [int(f) for f in head]
             dataset = bool(args.pair)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -177,6 +178,37 @@ def test_a_long_line_is_read_in_reads_that_double(tmp_path):
         chunks = list(cli._Chunks(Reads()))
     assert b"".join(chunks) == f.read_bytes()
     assert [len(c) for c in chunks] == [4, (1 << 22) + 4, 3] and len(sizes) < 20
+
+
+def test_a_long_label_takes_time_linear_in_its_length(tmp_path):
+    # coded 4 bytes a round, a 40,000-byte label took 0.55 s and a 200,000-byte one 6 s;
+    # keyed by its bytes, this 1 MB label takes about 10 ms (Python 3.11, numpy 2.4)
+    rows = [["x" * 1_000_000 + "é", "1"], ["q", "2"], ["x" * 1_000_000 + "é", "2"]]
+    f = tmp_path / "long.csv"
+    f.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    start = time.perf_counter()
+    ds = read_dataset(f)
+    assert time.perf_counter() - start < 0.25
+    labels, cols = reference_dataset(rows)
+    assert ds.labels == labels
+    assert [c.tolist() for c in ds.columns] == cols
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("head, row, argv", [
+    (b"", b"10 20\n", ["measure"]),
+    (b"", b"10 20\n", ["ess"]),
+    (b"a b\n", b"x y\n", ["rank", "--class-column", "b"]),
+    (b"a b\n", b"x y\n", ["measure", "--pair", "a", "b"]),
+], ids=["measure-counts", "ess", "rank", "measure-pair"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_file_offset(tmp_path, capsys, bom, head, row,
+                                                             argv):
+    # byte 16,002 of the file, a byte-order mark counted, lies in its third chunk
+    data = bom + head + row * 4000
+    f = tmp_path / "bad.txt"
+    f.write_bytes(data[:16_002] + b"\xff" + data[16_003:])
+    assert run_cli(capsys, *argv, "--input", str(f)) == (
+        1, "", f"error: {f}: not UTF-8 at byte 16002 of the file (invalid start byte)\n")
 
 
 def test_wide_spaces_are_the_whitespace_of_str_split_beyond_ascii():

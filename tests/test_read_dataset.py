@@ -12,11 +12,12 @@ differ only after their first 4 or 8 bytes or by a trailing NUL). Whitespace-
 delimited files also split on NBSP, U+2028 and ``\x1c``-``\x1f``, which other
 files hold as label bytes. Longer labels first appear in later rows, and the
 reader takes as few as one byte at a time, so a label's bytes and a CRLF pair
-straddle reads. At times a file has one or two rows of the wrong arity, a
+straddle reads. Labels longer than a bound of 2, 5 or 9 bytes, or than the reader's
+own, take their ids from a dict keyed by their bytes. At times a file has one or two rows of the wrong arity, a
 repeated header name, both with the first sample among the wrong rows, or
 bytes that are not UTF-8, and then both readers must raise the same message
-(for UTF-8, the same reason and bytes: the position counts from the start of
-the chunk read). Every column the reader returns must be a contiguous row,
+(for UTF-8, the file offset of the first bad byte, a byte-order mark counted,
+and the reason). Every column the reader returns must be a contiguous row,
 and the pair table it tabulates from two of them must equal ``from_samples``
 on the same codes. ``measure`` without ``--pair`` reads each file as a
 dataset too, and must fail with the same message, or else report the pair
@@ -75,6 +76,10 @@ def reference_rows(path):
 
 def reference_read(path):
     """``(names, labels, columns)``, or the message of the ValueError raised."""
+    try:  # the whole file at once: the error's start is the first bad byte's file offset
+        path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 at byte {exc.start} of the file ({exc.reason})"
     rows = reference_rows(path)
     try:
         names, first = next(rows, None), next(rows, None)
@@ -90,22 +95,15 @@ def reference_read(path):
         for row in [first, *rows]:
             for m, c, label in zip(maps, columns, row):
                 c.append(m.setdefault(label, len(m)))
-    except UnicodeDecodeError as exc:
-        return not_utf8(exc)
     except ValueError as exc:
         return str(exc)
     return names, [list(m) for m in maps], columns
 
 
-def not_utf8(exc: UnicodeDecodeError) -> tuple:
-    """What a UTF-8 error says besides where the chunk it counts from starts."""
-    return exc.reason, exc.object[exc.start:exc.end]
-
-
 @st.composite
 def dataset_files(draw):
-    """``(file bytes, bytes per read, bits of the label cache, header width)``, None
-    for the reader's own value."""
+    """``(file bytes, bytes per read, bits of the label cache, longest label coded by
+    sorted keys, header width)``, None for the reader's own value."""
     delim = draw(st.sampled_from(sorted(SEPARATORS)))
     def at_most_13_bytes(s):
         return s.encode()[:13].decode("utf-8", "ignore")
@@ -153,7 +151,7 @@ def dataset_files(draw):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
     return (data, draw(st.sampled_from([1, 2, 3, 5, 8, None])),
-            draw(st.sampled_from([1, 2, None])), width)
+            draw(st.sampled_from([1, 2, None])), draw(st.sampled_from([2, 5, 9, None])), width)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +162,7 @@ def path(tmp_path_factory):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(data=dataset_files())
 def test_read_dataset_matches_a_per_line_reader(path, data):
-    text, block_bytes, cache_bits, width = data
+    text, block_bytes, cache_bits, long_label, width = data
     path.write_bytes(text)
     expected = reference_read(path)
     with pytest.MonkeyPatch.context() as mp:
@@ -172,10 +170,10 @@ def test_read_dataset_matches_a_per_line_reader(path, data):
             mp.setattr(cli, "_BLOCK_BYTES", block_bytes)
         if cache_bits:  # two or four slots, so that labels share them
             mp.setattr(cli, "_CACHE_BITS", cache_bits)
+        if long_label:  # labels of 1-13 bytes fall on both sides of the bound
+            mp.setattr(cli, "_LONG_LABEL", long_label)
         try:
             ds = read_dataset(path)
-        except UnicodeDecodeError as exc:
-            assert not_utf8(exc) == expected
         except ValueError as exc:
             assert str(exc) == expected
         else:
@@ -200,7 +198,7 @@ def run(argv) -> tuple[int, str, str]:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=dataset_files())
 def test_measure_reads_a_dataset_as_read_dataset_does(path, data):
-    text, _, _, width = data
+    text, _, _, _, width = data
     path.write_bytes(text)
     try:
         ds = read_dataset(path)
