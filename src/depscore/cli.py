@@ -16,18 +16,18 @@ dataset's samples, the first one included, are split only by
 `_block_fields`, a chunk at a time from their bytes: numpy finds the fields
 and lines, and only a line that may be blank or a comment (one led by
 whitespace, or with the wrong number of fields) is read as `str`. The rows
-of a count table are split the same way, and their digits read with numpy,
-in a chunk of at least `_NUMPY_BYTES` bytes that holds only ASCII digits,
-line ends and what splits its fields, and whose every row has the first
-row's width in fields of at most 18 digits; every other chunk is split as
-`str` and its fields read with `int()`, which also raises the errors. Labels
-are coded without one Python object per field, through an exact cache of
-label keys in front of sorted ones; a label longer than `_LONG_LABEL` bytes
-is keyed by its bytes in a dict. Each dataset column is
-one contiguous int32 row of codes, which pair tables count unchecked: the
-codes are in range by construction, so only `tables.from_samples`, the
-entry point for state indices from outside, checks them. The rules, the
-same for both formats:
+of a count table are split the same way, and their digits read with numpy
+a digit position at a time, in a chunk of at least `_NUMPY_BYTES` bytes
+that holds only ASCII digits, line ends and what splits its fields, and
+whose every row has the first row's width in fields of at most 18 digits;
+every other chunk is split as `str` and its fields read with `int()`, which
+also raises the errors. Labels are coded without one Python object per
+field, through an exact cache of label keys in front of sorted ones; a label
+longer than `_LONG_LABEL` bytes is keyed by its bytes in a dict. Each
+dataset column is one contiguous int32 row of codes, which pair tables
+count unchecked: the codes are in range by construction, so only
+`tables.from_samples`, the entry point for state indices from outside,
+checks them. The rules, the same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped;
   bytes that are not UTF-8 are an error that names the file offset of the
@@ -157,13 +157,6 @@ _NO_SAMPLE = "need a header row and at least one sample row"  # a dataset file's
 _NUMPY_BYTES = 1024
 _PLAIN = {",": b"0123456789\n\r,", "\t": b"0123456789\n\r\t",
           " ": b"0123456789\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f"}
-# For a field of n digits at the end of a word, n <= 8, the low 4 bits of each of
-# its digits; the bytes ahead of it become 0, the digit 0. Then the steps that sum a
-# word of 8 digits: (scale, shift, mask) for digit pairs, then fours, then eights.
-_DIGIT_MASKS = np.array([0x0F0F_0F0F_0F0F_0F0F & -(1 << 8 * (8 - n)) for n in range(9)],
-                        dtype=np.uint64)
-_DIGIT_SUMS = [(np.uint64(scale), np.uint64(shift), np.uint64(mask)) for scale, shift, mask in (
-    (10, 8, 0x00FF_00FF_00FF_00FF), (100, 16, 0x0000_FFFF_0000_FFFF), (10_000, 32, 0xFFFF_FFFF))]
 
 
 def _delimiter(first_line: str) -> str:
@@ -262,38 +255,21 @@ def _int_rows(rows, width: int, path) -> list:
     return out
 
 
-def _digit_values(words: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int64 values of the fields of 1 to 18 ASCII digits, ``lengths`` long, whose
-    last 8 bytes are the little-endian ``words[ends]``: the bytes ahead of a field
-    become 0, the digit 0, and its digits are summed in pairs, then in fours, then in
-    eights. A field's digits ahead of its last 8 are the words 8 bytes earlier."""
-    w = words[ends]  # take() would copy all of the strided words first
-    high = _DIGIT_MASKS.take(lengths, mode="clip")
-    w &= high
-    for scale, shift, mask in _DIGIT_SUMS:
-        np.right_shift(w, shift, out=high)
-        w *= scale
-        w += high
-        w &= mask
-    values = w.view(np.int64)
-    if (long := np.flatnonzero(lengths > 8)).size:
-        values[long] += _digit_values(words, ends[long] - 8, lengths[long] - 8) * 10**8
-    return values
-
-
 def _plain_counts(chunk: bytes, delim: str, width: int):
     """The rows of ``chunk`` as an int64 array, parsed with numpy, or None for a chunk
     that is not plain or that has a row that is not ``width`` fields of at most 18
     digits; :func:`_int_rows` reads those, and raises their errors in order."""
     if chunk.translate(None, _PLAIN[delim]):
         return None
-    text, ends, lengths, arity = _block_fields(chunk, ord(delim), width)
+    text, starts, lengths, arity = _block_fields(chunk, ord(delim), width)
     if (arity != width).any() or lengths.max(initial=0) > 18:
         return None
-    ends += lengths  # from the fields' starts
-    buf = np.frombuffer(bytes(8) + text, dtype=np.uint8)  # 8 bytes end at every field's end
-    words = np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))
-    return _digit_values(words, ends, lengths).reshape(arity.size, width)
+    digits = np.frombuffer(text, dtype=np.uint8) - np.uint8(48)
+    values = digits[starts].astype(np.int64)  # every field's first digit
+    for k in range(1, lengths.max(initial=0)):  # then its k-th, where it has one
+        values = np.where(lengths > k, values * 10 + digits.take(starts + k, mode="clip"),
+                          values)
+    return values.reshape(arity.size, width)
 
 
 def _count_table(head, delim, chunks, path) -> CountTable:
@@ -366,8 +342,9 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
     over every call that shares ``rounds``, ``labels`` and ``cache``.
 
     A label of up to ``_LONG_LABEL`` bytes is read 4 bytes at a time, so
-    ``text`` must hold 3 bytes past its last label. Round 0's key is the label's byte length and its first 4
-    bytes; round r's key is its id from round r - 1 and its next 4 bytes.
+    ``text`` must hold 3 bytes past its last label. Round 0's key is the
+    label's byte length and its first 4 bytes; round r's key is its id from
+    round r - 1 and its next 4 bytes.
     ``rounds[r]`` holds round r's known keys, sorted, with their ids; a key not
     yet known gets the next id. ``labels[i]`` is the label that id ``i`` ends,
     or None for an id that only starts longer labels. ``cache`` holds two

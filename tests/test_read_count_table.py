@@ -87,12 +87,14 @@ def count_files(draw):
     reader's own value."""
     delim = draw(st.sampled_from(sorted(SEPARATORS)))
     width = draw(st.integers(1, 4))
-    # a few rows, or enough to span several chunks; up to two fields that are not plain
+    # a few rows, or enough to span several chunks; up to two fields of 1 to 18 digits
+    # or that are not plain
     height = draw(st.integers(0, 4) | st.integers(20, 40))
     rows = [[str(draw(st.integers(0, 40))) for _ in range(width)] for _ in range(height)]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_INTEGERS + LONG_INTEGERS))
+        row[draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from(ODD_INTEGERS + LONG_INTEGERS) | st.integers(0, 10**18 - 1).map(str))
     fault = draw(st.sampled_from([None, None, "arity", "non-integer"]))
     if fault and rows:  # any row, or the last
         row = rows[draw(st.integers(0, len(rows) - 1) | st.just(len(rows) - 1))]
