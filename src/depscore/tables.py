@@ -2,7 +2,7 @@
 state merging, and sampling.
 
 States are dense 0-based integer indices; mapping from external labels is an
-ingestion concern (see :mod:`depscore.cli`). Counts are 64-bit integers, so
+ingestion concern (see :mod:`depscore._read`). Counts are 64-bit integers, so
 totals up to 2**63 - 1 are accepted; probabilities are double precision.
 Both table types are immutable after construction and safe to share across
 threads.

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depscore import (DependenceReport, DofMode, EssResult, cli, constraint_lhs, constraint_rhs,
-                      make_prob_table, mi_plugin, si_threshold)
+from depscore import (DependenceReport, DofMode, EssResult, _read, cli, constraint_lhs,
+                      constraint_rhs, make_prob_table, mi_plugin, si_threshold)
 from depscore.cli import MAX_CURVE_POINTS, build_parser, main, read_count_table, read_dataset
 from depscore.experiments import FIG3_MAX_N
 
@@ -174,7 +174,7 @@ def test_a_long_line_is_read_in_reads_that_double(tmp_path):
             def read(self, n):
                 sizes.append(n)
                 return fh.read(n)
-        chunks = list(cli._Chunks(Reads()))
+        chunks = list(_read._Chunks(Reads()))
     assert b"".join(chunks) == f.read_bytes()
     assert [len(c) for c in chunks] == [4, (1 << 22) + 4, 3] and len(sizes) < 20
 
@@ -190,7 +190,7 @@ def test_a_long_label_takes_time_linear_in_its_length(tmp_path, monkeypatch):
             Rounds.count += 1
             assert Rounds.count <= 64, "a label is coded a round per 4 of its bytes"
             return np.asarray(self).take(*args, **kwargs)
-    monkeypatch.setattr(cli, "_BYTE_MASKS", cli._BYTE_MASKS.view(Rounds))
+    monkeypatch.setattr(_read, "_BYTE_MASKS", _read._BYTE_MASKS.view(Rounds))
     rows = [["x" * 1_000_000 + "é", "1"], ["q", "2"], ["x" * 1_000_000 + "é", "2"]]
     f = tmp_path / "long.csv"
     f.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
@@ -220,7 +220,7 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_file_offset(tmp_path, capsys, b
 
 def test_wide_spaces_are_the_whitespace_of_str_split_beyond_ascii():
     # a whitespace-delimited file splits its fields on these, as str.split() does
-    assert cli._WIDE_SPACES == "".join(c for c in map(chr, range(128, 0x110000)) if c.isspace())
+    assert _read._WIDE_SPACES == "".join(c for c in map(chr, range(128, 0x110000)) if c.isspace())
 
 
 def test_dataset_row_with_hash_first_label_is_a_comment(tmp_path):
@@ -271,6 +271,20 @@ def test_byte_order_mark_changes_no_output(tmp_path, capsys, text, argv):
         outs.append(out)
     assert outs[0] == outs[1]
     assert "\ufeff" not in outs[1]
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"1 2\n\xff 1\n", "not UTF-8 at byte 4 of the file (invalid start byte)",
+                 id="not-utf8"),
+    pytest.param(b"", "no data rows", id="empty"),
+])
+def test_a_bad_prior_file_exits_1_naming_it(tmp_path, capsys, data, message):
+    # --prior is the one second file a command reads; it is opened as the input is
+    table, prior = tmp_path / "table.txt", tmp_path / "prior.txt"
+    table.write_text("200 100\n100 200\n")
+    prior.write_bytes(data)
+    assert run_cli(capsys, "ess", "--input", str(table), "--prior", str(prior)) == (
+        1, "", f"error: {prior}: {message}\n")
 
 
 @pytest.mark.parametrize("name, text, argv", [

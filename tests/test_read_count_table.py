@@ -30,7 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from depscore import cli  # noqa: E402
+from depscore import _read, cli  # noqa: E402
 from depscore.cli import main, read_count_table  # noqa: E402
 from depscore.measures import report  # noqa: E402
 from depscore.tables import from_counts  # noqa: E402
@@ -160,10 +160,10 @@ def test_count_table_readers_match_a_per_line_reader(path, data):
     expected = reference_counts(path)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes:
-            mp.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(_read, "_BLOCK_BYTES", block_bytes)
         # every chunk split as str, then chunks from the drawn length up parsed with numpy
-        for shortest in (math.inf, numpy_bytes or cli._NUMPY_BYTES):
-            mp.setattr(cli, "_NUMPY_BYTES", shortest)
+        for shortest in (math.inf, numpy_bytes or _read._NUMPY_BYTES):
+            mp.setattr(_read, "_NUMPY_BYTES", shortest)
             assert read(path) == expected
         first = next(reference_rows(path), [])
         if not integers(first):
@@ -189,14 +189,14 @@ def test_a_wide_table_is_parsed_with_numpy_unless_a_chunk_is_not_plain(tmp_path,
     plain, signed = tmp_path / "plain.txt", tmp_path / "signed.txt"
     plain.write_text("\n".join(lines) + "\n")
     signed.write_text("\n".join(lines[:-1] + ["+" + lines[-1]]) + "\n")
-    plain_counts, parsed = cli._plain_counts, []
+    plain_counts, parsed = _read._plain_counts, []
 
     def spy(chunk, delim, width):
         block = plain_counts(chunk, delim, width)
         parsed.append(block is not None)
         return block
 
-    monkeypatch.setattr(cli, "_plain_counts", spy)
+    monkeypatch.setattr(_read, "_plain_counts", spy)
     for f in (plain, signed):
         assert reference_counts(f) == counts.tolist()
         parsed.clear()

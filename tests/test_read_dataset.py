@@ -37,7 +37,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from depscore import cli  # noqa: E402
+from depscore import _read  # noqa: E402
 from depscore.cli import main, read_dataset  # noqa: E402
 from depscore.tables import from_samples  # noqa: E402
 
@@ -167,11 +167,11 @@ def test_read_dataset_matches_a_per_line_reader(path, data):
     expected = reference_read(path)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes:
-            mp.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(_read, "_BLOCK_BYTES", block_bytes)
         if cache_bits:  # two or four slots, so that labels share them
-            mp.setattr(cli, "_CACHE_BITS", cache_bits)
+            mp.setattr(_read, "_CACHE_BITS", cache_bits)
         if long_label:  # labels of 1-13 bytes fall on both sides of the bound
-            mp.setattr(cli, "_LONG_LABEL", long_label)
+            mp.setattr(_read, "_LONG_LABEL", long_label)
         try:
             ds = read_dataset(path)
         except ValueError as exc:
