@@ -8,49 +8,52 @@ order per column, and the CLI echoes the mapping in output comments so
 sparse-label behavior is reproducible. :func:`read_input` opens every file;
 `measure` has it read a dataset when `--pair` is given or a field of the first
 data row is not an integer, and a count table otherwise. A file is read in
-chunks of whole lines, about `_BLOCK_BYTES` bytes each, and each line is
-split once. The first data line of a file (a header, or the row `measure`
-sniffs) is split as `str`. A dataset's samples, the first one included, are
-split only by `_block_fields`, a chunk at a time from their bytes: numpy
-finds the fields and lines, and only a line that may be blank or a comment
-(one led by whitespace, or with the wrong number of fields) is read as `str`.
-The rows of a count table are split the same way, and their digits read with
-numpy a digit position at a time, in a chunk of at least `_NUMPY_BYTES` bytes
-that holds only ASCII digits, line ends and what splits its fields, and whose
-every row has the first row's width in fields of at most 18 digits; every
-other chunk is split as `str` and its fields read with `int()`, which also
-raises the errors. Labels are coded without one Python object per field,
-through an exact cache of label keys in front of sorted ones; a label longer
-than `_LONG_LABEL` bytes is keyed by its bytes in a dict. Each dataset column
-is one contiguous int32 row of codes, which pair tables count unchecked: the
-codes are in range by construction, so only `tables.from_samples`, the entry
-point for state indices from outside, checks them. The rules, the same for
-both formats:
+text mode, in chunks of whole lines, about `_BLOCK_BYTES` characters each, and
+each line is split once. The first data line of a file (a header, or the row
+`measure` sniffs) is split as `str`. A dataset's samples, the first one
+included, are split only by `_block_fields`, a chunk at a time from their
+UTF-8 bytes: numpy finds the fields and lines, and only a line that may be
+blank or a comment (one led by whitespace, or with the wrong number of fields)
+is read as `str`. The rows of a count table are split the same way, and their
+digits read with numpy a digit position at a time, in a chunk of at least
+`_NUMPY_BYTES` characters that holds only ASCII digits, line ends and what
+splits its fields, and whose every row has the first row's width in fields of
+at most 18 digits; every other chunk is split as `str` and its fields read
+with `int()`, which also raises the errors. Labels are coded without one
+Python object per field, through an exact cache of label keys in front of
+sorted ones; a label longer than `_LONG_LABEL` bytes is keyed by its bytes in
+a dict. Each dataset column is one contiguous int32 row of codes, which pair
+tables count unchecked: the codes are in range by construction, so only
+`tables.from_samples`, the entry point for state indices from outside, checks
+them. The rules, the same for both formats:
 
-- files are read as UTF-8, and a byte-order mark at the start is dropped;
-  bytes that are not UTF-8 are an error that names the file offset of the
-  first bad one, the mark counted;
-- a line ends at `\\n`, `\\r\\n` or a lone `\\r`;
+- files are read as UTF-8, and a byte-order mark at the start is dropped (by
+  Python's `utf-8-sig` decoder); bytes that are not UTF-8 are an error that
+  names the file offset of the first bad one, the mark counted;
+- a line ends at `\\n`, `\\r\\n` or a lone `\\r` (Python's universal newlines);
 - blank lines, and lines whose first non-blank character is `#`, are
   skipped, so a dataset row whose first label starts with `#` is dropped;
 - fields are split on commas if the first row contains one, else on tabs if
   present, else on runs of whitespace (what `str.split()` splits on, non-ASCII
   spaces among it), and empty fields are skipped;
-- every row must have as many fields as the first.
+- every row must have as many fields as the first;
+- a bad byte is reported before the rule errors of the chunk being read, and
+  decoding runs up to 8 KiB past that chunk (more after multi-byte text), so
+  which of a file's two faults is reported depends on where chunks fall.
 """
 
 from __future__ import annotations
 
+import codecs
 import itertools
 
 import numpy as np
 
 from .tables import CountTable, _tabulate, from_counts
 
-# Bytes of a file read at a time: enough that numpy's cost per call is spread thin,
+# Characters of a file read at a time: enough that numpy's cost per call is spread thin,
 # few enough that a chunk's arrays stay near a megabyte.
 _BLOCK_BYTES = 1 << 16
-_BOM = b"\xef\xbb\xbf"
 # the first 0..4 bytes of a little-endian 4-byte word
 _BYTE_MASKS = np.array([0, 0xFF, 0xFFFF, 0xFF_FFFF, 0xFFFF_FFFF], dtype=np.uint64)
 # str.split()'s whitespace beyond ASCII, which splits the fields of a whitespace-delimited file
@@ -72,11 +75,11 @@ _HASH = np.uint64(0x9E37_79B9_7F4A_7C15)
 # round of numpy calls per 4 bytes there, are keyed by their bytes in a dict)
 _LONG_LABEL = 32
 _NO_SAMPLE = "need a header row and at least one sample row"  # a dataset file's first check
-# A count table's chunk of at least this many bytes is parsed with numpy when it is plain:
+# A count table's chunk of at least this many characters is parsed with numpy when it is plain:
 # it holds only ASCII digits, line ends and what splits its fields. Below it, str costs less.
 _NUMPY_BYTES = 1024
-_PLAIN = {",": b"0123456789\n\r,", "\t": b"0123456789\n\r\t",
-          " ": b"0123456789\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f"}
+_PLAIN = {",": b"0123456789\n,", "\t": b"0123456789\n\t",
+          " ": b"0123456789\n \t\x0b\x0c\x1c\x1d\x1e\x1f"}
 
 
 def _is_data(line: str) -> bool:
@@ -89,61 +92,23 @@ def _split(line: str, delim: str) -> list:
     return line.split() if delim == " " else [f for f in line.split(delim) if f]
 
 
-class _Chunks:
-    """The bytes of the binary file ``fh``, less a leading byte-order mark, as chunks of
-    whole lines. Each read takes ``size`` more bytes; what follows the last line end
-    (``\\n`` or ``\\r``) waits in ``rest``, ahead of the next read. ``size`` starts at an
-    eighth of ``_BLOCK_BYTES``, so that a dataset's first chunk, whose labels are all
-    new to the label cache, stays small. A line longer than that is read in reads that
-    double, so that it is copied a bounded number of times.
-
-    ``start`` is the file offset of the last chunk, and ``at`` that of ``rest``."""
-
-    def __init__(self, fh):
-        head = fh.read(3)
-        self.fh, self.rest = fh, head.removeprefix(_BOM)
-        self.start = self.at = len(head) - len(self.rest)
-        self.size = max(1, _BLOCK_BYTES // 8)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> bytes:
-        size = self.size
-        while block := self.fh.read(size):
-            data = self.rest + block
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-            if cut:
-                return self._take(data, cut)
-            self.rest, size = data, len(data)
-        if not self.rest:
-            raise StopIteration
-        return self._take(self.rest, len(self.rest))
-
-    def _take(self, data: bytes, cut: int) -> bytes:
-        self.start, self.at, self.rest = self.at, self.at + cut, data[cut:]
-        return data[:cut]
-
-    def unread(self, tail: bytes) -> None:
-        """Put ``tail``, the end of the last chunk, back ahead of the next read."""
-        self.rest, self.at = tail + self.rest, self.at - len(tail)
+def _chunk(fh, size: int) -> str:
+    """About ``size`` characters of the text file ``fh``, to a line end: a longer line whole."""
+    text = fh.read(size)
+    return text if text.endswith("\n") else text + fh.readline()
 
 
 def _arity_error(path, arity: int, width: int) -> ValueError:
     return ValueError(f"{path}: row arity {arity} != first row arity {width}")
 
 
-def _head(chunks: _Chunks, path, empty: str):
-    """``(fields, delimiter)``: the first data line of ``chunks`` split on the delimiter
-    it sets, the rest of its chunk put back; none at all is the error ``empty``."""
-    for chunk in chunks:
-        text, at = chunk.decode(), 0
-        for line in text.replace("\r", "\n").split("\n"):  # "\r\n" ends a line and a blank one
-            at += len(line) + 1
-            if _is_data(line):
-                chunks.unread(chunk[len(text[:at].encode()):])
-                delim = "," if "," in line else "\t" if "\t" in line else " "
-                return _split(line, delim), delim
+def _head(fh, path, empty: str):
+    """``(fields, delimiter)``: the first data line of ``fh``, read a line at a time to
+    leave ``fh`` just past it, split on the delimiter it sets; none is the error ``empty``."""
+    for line in fh:
+        if _is_data(line := line.removesuffix("\n")):
+            delim = "," if "," in line else "\t" if "\t" in line else " "
+            return _split(line, delim), delim
     raise ValueError(f"{path}: {empty}")
 
 
@@ -177,18 +142,18 @@ def _plain_counts(chunk: bytes, delim: str, width: int):
     return values.reshape(arity.size, width)
 
 
-def _count_table(head, delim, chunks, path) -> CountTable:
-    """The count table of row ``head`` and of the data lines of ``chunks``: a chunk of
+def _count_table(head, delim, fh, path) -> CountTable:
+    """The count table of row ``head`` and of the data lines left in ``fh``: a chunk of
     ``_NUMPY_BYTES`` or more is parsed with numpy where it is plain, and every other
     one is split as ``str``, a line at a time."""
     width, rows, parts = len(head), _int_rows([head], len(head), path), []
-    chunks.size = _BLOCK_BYTES
-    for chunk in chunks:
-        if len(chunk) >= _NUMPY_BYTES and (block := _plain_counts(chunk, delim, width)) is not None:
+    while chunk := _chunk(fh, _BLOCK_BYTES):
+        if (len(chunk) >= _NUMPY_BYTES
+                and (block := _plain_counts(chunk.encode(), delim, width)) is not None):
             parts += [rows, block]
             rows = []
         else:
-            lines = filter(_is_data, chunk.decode().replace("\r", "\n").split("\n"))
+            lines = filter(_is_data, chunk.split("\n"))
             rows += _int_rows((_split(line, delim) for line in lines), width, path)
     if not parts:
         return from_counts(rows)
@@ -310,16 +275,13 @@ def _label_ids(text: bytes, starts: np.ndarray, lengths: np.ndarray, rounds: lis
 
 def _block_fields(chunk: bytes, delim: int, width: int) -> tuple:
     """``(text, starts, lengths, arity)``: the nonempty fields ``text[s:s + n]`` of the
-    data lines of ``chunk``, and each line's count of them. A field ends at the byte
-    ``delim`` or at a line end, and ``text`` holds 3 bytes past the last field."""
-    chars = chunk.decode()  # checks the chunk is UTF-8
-    if delim == 32 and not chars.isascii():  # str.split()'s wide spaces split fields
-        for c in _WIDE_SPACES:
-            chars = chars.replace(c, " ")
-        chunk = chars.encode()
-    if b"\r" in chunk:  # universal newlines
-        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if delim == 32:
+    data lines of ``chunk``, UTF-8 text whose lines end at ``\\n``, and each line's count
+    of them. A field ends at the byte ``delim`` or at a line end, and ``text`` holds 3
+    bytes past the last field."""
+    if delim == 32:  # str.split()'s whitespace splits fields: the wide spaces, then ASCII's
+        if not chunk.isascii():  # UTF-8 matches a character's bytes only where it starts
+            for c in _WIDE_SPACES:
+                chunk = chunk.replace(c.encode(), b" ")
         chunk = chunk.translate(_SPACES)
     text = chunk + (b"\0\0\0" if chunk.endswith(b"\n") else b"\n\0\0\0")
     buf = np.frombuffer(text, dtype=np.uint8)
@@ -346,17 +308,16 @@ def _block_fields(chunk: bytes, delim: int, width: int) -> tuple:
     return text, ends - lengths, lengths, arity
 
 
-def _dataset(names, delim, chunks, path) -> Dataset:
-    """The dataset of header ``names`` and of the samples in ``chunks``, split on ``delim``."""
+def _dataset(names, delim, fh, path) -> Dataset:
+    """The dataset of header ``names`` and of the samples left in ``fh``, split on ``delim``."""
     width, delim = len(names), ord(delim)
     # the samples, a chunk at a time; a label's id is the same in every chunk
-    rounds: list = []
-    labels: list = []
-    cache = (np.zeros(1 << _CACHE_BITS, dtype=np.uint64), np.zeros(1 << _CACHE_BITS, np.int32),
-             {})
+    rounds, labels = [], []
+    cache = (np.zeros(1 << _CACHE_BITS, np.uint64), np.zeros(1 << _CACHE_BITS, np.int32), {})
     blocks = []
-    for chunk in chunks:
-        text, starts, lengths, arity = _block_fields(chunk, delim, width)
+    size = max(1, _BLOCK_BYTES // 8)  # small, as the first chunk's labels are all new
+    while chunk := _chunk(fh, size):
+        text, starts, lengths, arity = _block_fields(chunk.encode(), delim, width)
         if not arity.size:
             continue
         if not blocks:  # the first sample's arity comes before the header's checks
@@ -371,10 +332,12 @@ def _dataset(names, delim, chunks, path) -> Dataset:
                 seen.add(nm)
         if (bad := np.flatnonzero(arity != width)).size:
             raise _arity_error(path, int(arity[bad[0]]), width)
-        blocks.append(_label_ids(text, starts, lengths, rounds, labels, cache).reshape(-1, width))
-        # a chunk also takes as many bytes as there are label ids, so that the sorted
-        # keys grow by a share at a time and merging into them stays linear
-        chunks.size = max(_BLOCK_BYTES, len(labels))
+        # kept in the smallest type that holds the ids, the blocks take far less than the matrix
+        block = _label_ids(text, starts, lengths, rounds, labels, cache)
+        blocks.append(block.astype(np.min_scalar_type(len(labels))).reshape(-1, width))
+        # a chunk also takes as many characters as there are label ids, so that the
+        # sorted keys grow by a share at a time and merging into them stays linear
+        size = max(_BLOCK_BYTES, len(labels))
     if not blocks:
         raise ValueError(f"{path}: {_NO_SAMPLE}")
     # one contiguous row of ids per column, written a block at a time
@@ -407,17 +370,31 @@ def read_input(path, empty: str, dataset: bool | None = None) -> CountTable | Da
     """The file ``path`` as a dataset if ``dataset``, else as a count table; None reads a
     count table only if every field of the first data line is an integer. A file without
     a data line is the error ``empty``."""
-    with open(path, "rb") as fh:
-        chunks = _Chunks(fh)
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            head, delim = _head(chunks, path, empty)
+            head, delim = _head(fh, path, empty)
             if dataset is None:
                 try:
                     [int(f) for f in head]
                     dataset = False
                 except ValueError:
                     dataset = True
-            return (_dataset if dataset else _count_table)(head, delim, chunks, path)
-        except UnicodeDecodeError as exc:  # raised decoding the chunk at offset chunks.start
-            raise ValueError(f"{fh.name}: not UTF-8 at byte {chunks.start + exc.start} of "
-                             f"the file ({exc.reason})") from None
+            return (_dataset if dataset else _count_table)(head, delim, fh, path)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {_not_utf8(path, exc)}") from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The error for text mode's ``exc``: the file is read again a block at a time, to name
+    the offset of its first byte that is not UTF-8, or none if it has changed since."""
+    decoder, at = codecs.getincrementaldecoder("utf-8")(), 0  # at: the bytes before block
+    with open(path, "rb") as fh:
+        while True:  # the decoder is given the bytes it still holds, then the block
+            block, held = fh.read(_BLOCK_BYTES), len(decoder.getstate()[0])
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as bad:
+                return f"not UTF-8 at byte {at - held + bad.start} of the file ({bad.reason})"
+            if not block:
+                return f"not UTF-8 ({exc.reason})"
+            at += len(block)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import subprocess
@@ -163,20 +164,20 @@ def test_read_dataset_peak_follows_the_fields_not_the_bytes(tmp_path):
     assert peaks[1] - peaks[0] < (padded.stat().st_size - plain.stat().st_size) / 8
 
 
-def test_a_long_line_is_read_in_reads_that_double(tmp_path):
-    # a 4 MiB line takes about log2(4 MiB / 8 KiB) = 9 reads; reads of a fixed size took
-    # 512, each copying all the line held so far (a 20 MB line took 17 s)
+def test_a_long_line_comes_back_whole_in_one_chunk(tmp_path):
+    # a chunk that stops inside a line takes the rest of it from readline, which reads a
+    # line in time linear in its length; a reader whose reads were of a fixed size, each
+    # copying all the line held so far, took 17 s on a 20 MB line
+    data = b"a,b\n" + b"x" * (1 << 22) + b",y\r\n1,2"
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    assert _read._head(fh, "long.csv", "empty") == (["a", "b"], ",")
+    chunks = list(iter(lambda: _read._chunk(fh, 8192), ""))
+    assert chunks == ["x" * (1 << 22) + ",y\n", "1,2"]
     f = tmp_path / "long.csv"
-    f.write_bytes(b"a,b\n" + b"x" * (1 << 22) + b",y\r\n1,2")
-    sizes = []
-    with open(f, "rb") as fh:
-        class Reads:
-            def read(self, n):
-                sizes.append(n)
-                return fh.read(n)
-        chunks = list(_read._Chunks(Reads()))
-    assert b"".join(chunks) == f.read_bytes()
-    assert [len(c) for c in chunks] == [4, (1 << 22) + 4, 3] and len(sizes) < 20
+    f.write_bytes(data)
+    ds = read_dataset(f)
+    assert ds.names == ["a", "b"] and ds.labels == [["x" * (1 << 22), "1"], ["y", "2"]]
+    assert [c.tolist() for c in ds.columns] == [[0, 1], [0, 1]]
 
 
 def test_a_long_label_takes_time_linear_in_its_length(tmp_path, monkeypatch):
@@ -216,6 +217,35 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_file_offset(tmp_path, capsys, b
     f.write_bytes(data[:16_002] + b"\xff" + data[16_003:])
     assert run_cli(capsys, *argv, "--input", str(f)) == (
         1, "", f"error: {f}: not UTF-8 at byte 16002 of the file (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("read", [read_dataset, read_count_table])
+@pytest.mark.parametrize("bad_row, reported", [(1_000, "utf8"), (40_000, "arity")],
+                         ids=["one-chunk", "chunks-apart"])
+def test_of_two_faults_a_bad_byte_in_the_chunk_being_read_is_reported(tmp_path, read, bad_row,
+                                                                        reported):
+    # the ragged row 10 comes first; a bad byte 4 KB in lies in the same chunk of either
+    # format and is reported, and one 160 KB in is never decoded before the ragged row's
+    # chunk is checked
+    rows = [b"1,2\n"] * 50_000
+    rows[10], rows[bad_row] = b"1,2,3\n", b"\xff,2\n"
+    data = (b"a,b\n" if read is read_dataset else b"") + b"".join(rows)
+    f = tmp_path / "two.csv"
+    f.write_bytes(data)
+    at = data.index(b"\xff")
+    with pytest.raises(ValueError) as err:
+        read(f)
+    assert str(err.value) == (f"{f}: not UTF-8 at byte {at} of the file (invalid start byte)"
+                              if reported == "utf8" else f"{f}: row arity 3 != first row arity 2")
+
+
+def test_a_bad_byte_gone_when_the_file_is_read_again_is_named_without_an_offset(tmp_path):
+    # the offset comes from a second, binary read, which must end even if the file has
+    # changed since and holds no bad byte
+    f = tmp_path / "t.txt"
+    f.write_bytes(b"1 2\n3 4\n" * 10_000)
+    exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    assert _read._not_utf8(f, exc) == "not UTF-8 (invalid start byte)"
 
 
 def test_wide_spaces_are_the_whitespace_of_str_split_beyond_ascii():

@@ -10,8 +10,8 @@ ends, fields that ``int()`` reads but that are not plain digits, fields of 18
 to 20 digits (``2**63 - 1`` and ``2**63`` among them), and at times ragged
 rows or non-integer fields (often in the last row), tables that
 ``from_counts`` rejects, or no data line at all. Some tables have enough rows
-to span several chunks. The reader takes as few as one byte at a time and
-parses chunks as short as one byte with numpy, so that chunks straddle the
+to span several chunks. The reader takes as few as one character at a time
+and parses chunks as short as one character with numpy, so that chunks straddle the
 faults and a file takes the numpy path, the ``str`` path or both. Both
 readers must give the reference's counts or raise its message.
 """
@@ -83,7 +83,7 @@ def reference_counts(path):
 
 @st.composite
 def count_files(draw):
-    """``(file bytes, bytes per read, shortest chunk parsed with numpy)``, None for the
+    """``(file bytes, characters per read, shortest chunk parsed with numpy)``, None for the
     reader's own value."""
     delim = draw(st.sampled_from(sorted(SEPARATORS)))
     width = draw(st.integers(1, 4))

@@ -11,7 +11,7 @@ labels of 1-13 UTF-8 bytes (non-ASCII and NUL among them, and labels that
 differ only after their first 4 or 8 bytes or by a trailing NUL). Whitespace-
 delimited files also split on NBSP, U+2028 and ``\x1c``-``\x1f``, which other
 files hold as label bytes. Longer labels first appear in later rows, and the
-reader takes as few as one byte at a time, so a label's bytes and a CRLF pair
+reader takes as few as one character at a time, so a label and a CRLF pair
 straddle reads. Labels longer than a bound of 2, 5 or 9 bytes, or than the reader's
 own, take their ids from a dict keyed by their bytes. At times a file has one or two rows of the wrong arity, a
 repeated header name, both with the first sample among the wrong rows, or
@@ -102,7 +102,7 @@ def reference_read(path):
 
 @st.composite
 def dataset_files(draw):
-    """``(file bytes, bytes per read, bits of the label cache, longest label coded by
+    """``(file bytes, characters per read, bits of the label cache, longest label coded by
     sorted keys, header width)``, None for the reader's own value."""
     delim = draw(st.sampled_from(sorted(SEPARATORS)))
     def at_most_13_bytes(s):
