@@ -29,7 +29,9 @@ them. The rules, the same for both formats:
 
 - files are read as UTF-8, and a byte-order mark at the start is dropped (by
   Python's `utf-8-sig` decoder); bytes that are not UTF-8 are an error that
-  names the file offset of the first bad one, the mark counted;
+  names the file offset of the first bad one, the mark counted, taken from the
+  read that failed, so no file is opened twice; a pipe or FIFO has no offset,
+  and its error names none;
 - a line ends at `\\n`, `\\r\\n` or a lone `\\r` (Python's universal newlines);
 - blank lines, and lines whose first non-blank character is `#`, are
   skipped, so a dataset row whose first label starts with `#` is dropped;
@@ -44,7 +46,6 @@ them. The rules, the same for both formats:
 
 from __future__ import annotations
 
-import codecs
 import itertools
 
 import numpy as np
@@ -381,20 +382,10 @@ def read_input(path, empty: str, dataset: bool | None = None) -> CountTable | Da
                     dataset = True
             return (_dataset if dataset else _count_table)(head, delim, fh, path)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {_not_utf8(path, exc)}") from None
-
-
-def _not_utf8(path, exc: UnicodeDecodeError) -> str:
-    """The error for text mode's ``exc``: the file is read again a block at a time, to name
-    the offset of its first byte that is not UTF-8, or none if it has changed since."""
-    decoder, at = codecs.getincrementaldecoder("utf-8")(), 0  # at: the bytes before block
-    with open(path, "rb") as fh:
-        while True:  # the decoder is given the bytes it still holds, then the block
-            block, held = fh.read(_BLOCK_BYTES), len(decoder.getstate()[0])
+            # the failed read's bytes, those the decoder held back and then the block read
+            # (less a leading byte-order mark), end where the buffer stands
             try:
-                decoder.decode(block, final=not block)
-            except UnicodeDecodeError as bad:
-                return f"not UTF-8 at byte {at - held + bad.start} of the file ({bad.reason})"
-            if not block:
-                return f"not UTF-8 ({exc.reason})"
-            at += len(block)
+                at = f" at byte {fh.buffer.tell() - len(exc.object) + exc.start} of the file"
+            except OSError:  # a pipe or FIFO, /dev/stdin among them, has no position
+                at = ""
+            raise ValueError(f"{path}: not UTF-8{at} ({exc.reason})") from None

@@ -178,11 +178,6 @@ def _in_range(convert, what: str, low, high=sys.float_info.max):
     return parse
 
 
-def _with_suffix(path: Path, tag: str) -> Path:
-    return path.with_name(path.stem + tag + path.suffix) if path.suffix \
-        else path.with_name(path.name + tag)
-
-
 def _cmd_experiment(args) -> int:
     flag, value = ("--z-grid", args.z_grid) if args.name == "fig3" else ("--z", args.z)
     if value is not None:
@@ -200,7 +195,7 @@ def _cmd_experiment(args) -> int:
         outputs = {out: run_feature_selection_experiment(**study)}
     else:  # fig2: one curve per n, each file tagged with its n when there are several
         curves = run_discretization_experiment(z_grid=args.z_grid, **study)
-        outputs = {_with_suffix(out, f"_n{n}") if len(curves) > 1 else out: curve
+        outputs = {out.with_name(f"{out.stem}_n{n}{out.suffix}") if len(curves) > 1 else out: curve
                    for n, curve in curves.items()}
     written = ""  # printed once every file is written
     for path, curve in outputs.items():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -239,13 +240,67 @@ def test_of_two_faults_a_bad_byte_in_the_chunk_being_read_is_reported(tmp_path, 
                               if reported == "utf8" else f"{f}: row arity 3 != first row arity 2")
 
 
-def test_a_bad_byte_gone_when_the_file_is_read_again_is_named_without_an_offset(tmp_path):
-    # the offset comes from a second, binary read, which must end even if the file has
-    # changed since and holds no bad byte
+def measure_in_a_fresh_process(path, stdin: bytes | None = None) -> tuple[int, str, str]:
+    """``measure --input path`` run by a new interpreter, fed ``stdin``; ends within 20 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "depscore", "measure", "--input", str(path)],
+                         input=stdin, capture_output=True, timeout=20, env=env)
+    return run.returncode, run.stdout.decode(), run.stderr.decode()
+
+
+def measure_a_fifo(tmp_path, data: bytes) -> tuple[int, str, str]:
+    """``measure`` on a FIFO into which a daemon thread writes ``data``."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:  # blocks until the reader opens the FIFO
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return measure_in_a_fresh_process(fifo)
+    finally:  # a reader that never opened the FIFO leaves the writer blocked: open it
+        writer.join(5)
+        if writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("data, reason", [
+    (b"1 2\n\xff 4\n", "invalid start byte"),
+    (b"1 2\n3 4\n\xe2\x82", "unexpected end of data"),
+], ids=["bad-byte", "cut-off"])
+def test_a_bad_byte_in_a_fifo_is_named_without_an_offset(tmp_path, data, reason):
+    # a FIFO can be read once: opening it a second time to find the offset waited for a
+    # new writer for good. A character cut off at the end is found only after the writer
+    # has closed, so that second open always waited
+    fifo = tmp_path / "fifo"
+    assert measure_a_fifo(tmp_path, data) == (1, "", f"error: {fifo}: not UTF-8 ({reason})\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_bad_byte_piped_to_dev_stdin_is_named_without_an_offset():
+    assert measure_in_a_fresh_process("/dev/stdin", b"1 2\n\xff 4\n") == (
+        1, "", "error: /dev/stdin: not UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/stdin"),
+                    reason="no named pipes")
+def test_a_table_read_through_a_fifo_or_dev_stdin_reports_as_from_a_file(tmp_path):
+    # 160 KB, more than a pipe holds at once, so the reader reads while the writer writes
+    counts = np.random.default_rng(28).integers(1, 1000, (201, 201))
+    data = "".join(" ".join(map(str, row)) + "\n" for row in counts.tolist()).encode()
     f = tmp_path / "t.txt"
-    f.write_bytes(b"1 2\n3 4\n" * 10_000)
-    exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-    assert _read._not_utf8(f, exc) == "not UTF-8 (invalid start byte)"
+    f.write_bytes(data)
+    expected = measure_in_a_fresh_process(f)
+    assert expected[0] == 0 and expected[1]
+    assert measure_a_fifo(tmp_path, data) == expected
+    assert measure_in_a_fresh_process("/dev/stdin", data) == expected
 
 
 def test_wide_spaces_are_the_whitespace_of_str_split_beyond_ascii():
@@ -941,16 +996,21 @@ def test_experiment_wrote_line_names_the_normalized_path(tmp_path, capsys, monke
 
 
 def test_experiment_fig2_writes_per_n_files(tmp_path, capsys):
-    out = tmp_path / "fig2.tsv"
-    code, stdout, _ = run_cli(
-        capsys, "experiment", "fig2", "--seed", "3", "--replicates", "2",
-        "--z-grid", "0.0,0.1", "--n-values", "25,100", "--measures", "si",
-        "--out", str(out))
-    assert code == 0
-    assert (tmp_path / "fig2_n25.tsv").exists()
-    assert (tmp_path / "fig2_n100.tsv").exists()
-    text = (tmp_path / "fig2_n25.tsv").read_text()
-    assert text.splitlines()[-1].startswith("0.1\t")
+    # a file is tagged before its last suffix, if it has one (".c" has none)
+    for k, (out, tagged) in enumerate([("fig2.tsv", "fig2_n{}.tsv"), ("c", "c_n{}"),
+                                       (".c", ".c_n{}"), ("a.b.tsv", "a.b_n{}.tsv")]):
+        d = tmp_path / str(k)
+        d.mkdir()
+        code, stdout, _ = run_cli(
+            capsys, "experiment", "fig2", "--seed", "3", "--replicates", "2",
+            "--z-grid", "0.0,0.1", "--n-values", "25,100", "--measures", "si",
+            "--out", str(d / out))
+        assert code == 0
+        names = [tagged.format(n) for n in (25, 100)]
+        assert stdout == "".join(f"wrote {d / name}\n" for name in names)
+        assert sorted(p.name for p in d.iterdir()) == sorted(names)
+        text = (d / names[0]).read_text()
+        assert text.splitlines()[-1].startswith("0.1\t")
 
 
 def test_experiment_fig2_default_fractions_in_range(tmp_path, capsys):

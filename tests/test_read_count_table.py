@@ -9,11 +9,16 @@ at either end of a line, comment and blank lines, LF, CRLF and lone CR line
 ends, fields that ``int()`` reads but that are not plain digits, fields of 18
 to 20 digits (``2**63 - 1`` and ``2**63`` among them), and at times ragged
 rows or non-integer fields (often in the last row), tables that
-``from_counts`` rejects, or no data line at all. Some tables have enough rows
-to span several chunks. The reader takes as few as one character at a time
-and parses chunks as short as one character with numpy, so that chunks straddle the
-faults and a file takes the numpy path, the ``str`` path or both. Both
-readers must give the reference's counts or raise its message.
+``from_counts`` rejects, no data line at all, or one run of bytes that are
+not UTF-8, anywhere (even inside a character, at a seam of the decoder's
+8 KiB reads, or cut off at the end). Some tables have enough rows to span
+several chunks, and half the files hold comment lines of 1-4 byte characters,
+5 to 15 KB each, so that characters straddle the decoder's reads. The reader
+takes as few as one character at a time and parses chunks as short as one
+character with numpy, so that chunks straddle the faults and a file takes the
+numpy path, the ``str`` path or both. Both readers must give the reference's
+counts or raise its message; for UTF-8 that names the file offset of the first
+bad byte, a byte-order mark counted, and the reason.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ SEPARATORS = {",": [",", ",,", ", "], "\t": ["\t", "\t\t"], " ": [" ", "  ", "\t
 EDGES = {",": ["", ","], "\t": ["", "\t"], " ": ["", " ", "\t"]}
 NOISE_LINES = ["", "  ", "\t", "# a comment", "  #1,2\t3"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
+# byte runs that are not UTF-8: a stray continuation byte, a byte no UTF-8 holds, lead
+# bytes without their last continuation, and an encoded surrogate
+NOT_UTF8 = [b"\x80", b"\xff", b"\xe2\x82", b"\xf0\x9d\x84", b"\xed\xa0\x80"]
+# a comment of 2,000 to 6,000 characters of 1 to 4 UTF-8 bytes (5 to 15 KB)
+LONG_COMMENT = st.builds(lambda start, n: "#" + ("a\xe9\u20ac\U0001d11e" * 1501)[start:start + n],
+                         st.integers(0, 3), st.integers(2000, 6000))
 
 
 def reference_rows(path):
@@ -67,6 +78,10 @@ def reference_rows(path):
 
 def reference_counts(path):
     """The table's counts as lists, or the message of the ValueError raised."""
+    try:  # the whole file at once: the error's start is the first bad byte's file offset
+        path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 at byte {exc.start} of the file ({exc.reason})"
     try:
         counts = []
         for row in reference_rows(path):
@@ -95,8 +110,8 @@ def count_files(draw):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         row[draw(st.integers(0, width - 1))] = draw(
             st.sampled_from(ODD_INTEGERS + LONG_INTEGERS) | st.integers(0, 10**18 - 1).map(str))
-    fault = draw(st.sampled_from([None, None, "arity", "non-integer"]))
-    if fault and rows:  # any row, or the last
+    fault = draw(st.sampled_from([None, None, "arity", "non-integer", "utf8"]))
+    if fault in ("arity", "non-integer") and rows:  # any row, or the last
         row = rows[draw(st.integers(0, len(rows) - 1) | st.just(len(rows) - 1))]
         if fault == "arity":
             row.append(row[0]) if draw(st.booleans()) else row.pop()
@@ -116,10 +131,18 @@ def count_files(draw):
         lines.append(line(row, [" "] if first_spaces else SEPARATORS[delim],
                           ["", " "] if first_spaces else EDGES[delim]))
         lines += draw(st.lists(noise, max_size=2))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):  # a file past 8 KiB, at times
+        lines.insert(draw(st.integers(0, len(lines))), draw(LONG_COMMENT))
     ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
     text = "".join(map(str.__add__, lines, ends[:-1] + [draw(st.sampled_from(["", "\n"]))]))
-    return ((draw(st.sampled_from(["", "\ufeff"])) + text).encode(),
-            draw(st.sampled_from([1, 2, 3, 5, 8, 64, None])), draw(st.sampled_from([1, 16, None])))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+    if fault == "utf8":  # anywhere, at a seam of the decoder's 8 KiB reads, or at the end
+        seams = [at for k in (1, 2, 3) for at in range(8192 * k - 4, 8192 * k + 4)
+                 if at < len(data)]
+        at = draw(st.integers(0, len(data)) | st.sampled_from([*seams, len(data)]))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return (data, draw(st.sampled_from([1, 2, 3, 5, 8, 64, 4096, None])),
+            draw(st.sampled_from([1, 16, None])))
 
 
 def integers(fields) -> bool:
@@ -165,8 +188,8 @@ def test_count_table_readers_match_a_per_line_reader(path, data):
         for shortest in (math.inf, numpy_bytes or _read._NUMPY_BYTES):
             mp.setattr(_read, "_NUMPY_BYTES", shortest)
             assert read(path) == expected
-        first = next(reference_rows(path), [])
-        if not integers(first):
+        not_utf8 = isinstance(expected, str) and ": not UTF-8" in expected
+        if not not_utf8 and not integers(next(reference_rows(path), [])):
             return  # measure reads a dataset: tests/test_read_dataset.py runs that path
         code, out, err = run(["measure", "--input", str(path)])
     if isinstance(expected, str):

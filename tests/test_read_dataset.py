@@ -15,13 +15,16 @@ reader takes as few as one character at a time, so a label and a CRLF pair
 straddle reads. Labels longer than a bound of 2, 5 or 9 bytes, or than the reader's
 own, take their ids from a dict keyed by their bytes. At times a file has one or two rows of the wrong arity, a
 repeated header name, both with the first sample among the wrong rows, or
-bytes that are not UTF-8, and then both readers must raise the same message
-(for UTF-8, the file offset of the first bad byte, a byte-order mark counted,
-and the reason). Every column the reader returns must be a contiguous row,
-and the pair table it tabulates from two of them must equal ``from_samples``
-on the same codes. ``measure`` without ``--pair`` reads each file as a
-dataset too, and must fail with the same message, or else report the pair
-that a two-column file names.
+bytes that are not UTF-8 (anywhere: inside a character, at a seam of the
+decoder's 8 KiB reads, or cut off at the end), and then both readers must
+raise the same message (for UTF-8, the file offset of the first bad byte, a
+byte-order mark counted, and the reason). Half the files hold comment lines
+of 1-4 byte characters, 5 to 15 KB each, so that they span several of the
+decoder's reads and characters straddle them. Every column the reader
+returns must be a contiguous row, and the pair table it tabulates from two
+of them must equal ``from_samples`` on the same codes. ``measure`` without
+``--pair`` reads each file as a dataset too, and must fail with the same
+message, or else report the pair that a two-column file names.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ NOISE_LINES = ["", "  ", "\t", "\xa0", "\u2028\x1c", "# a comment", "  #x,y\tz",
                "\xa0\u3000#,"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 # byte runs that are not UTF-8: a stray continuation byte, a byte no UTF-8 holds,
-# a lead byte without its continuation, and an encoded surrogate
-NOT_UTF8 = [b"\x80", b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]
+# lead bytes without their last continuation, and an encoded surrogate
+NOT_UTF8 = [b"\x80", b"\xff", b"\xe2\x82", b"\xf0\x9d\x84", b"\xed\xa0\x80"]
+# a comment of 2,000 to 6,000 characters of 1 to 4 UTF-8 bytes (5 to 15 KB)
+LONG_COMMENT = st.builds(lambda start, n: "#" + ("a\xe9\u20ac\U0001d11e" * 1501)[start:start + n],
+                         st.integers(0, 3), st.integers(2000, 6000))
 
 
 def reference_rows(path):
@@ -144,11 +150,15 @@ def dataset_files(draw):
     for row in rows:
         lines += draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
         lines.append(line(row, SEPARATORS[delim], EDGES[delim]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):  # a file past 8 KiB, at times
+        lines.insert(draw(st.integers(0, len(lines))), draw(LONG_COMMENT))
     ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
     text = "".join(map(str.__add__, lines, ends[:-1] + [draw(st.sampled_from(["", "\n"]))]))
     data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
-    if fault == "utf8":  # anywhere, even inside a character or at the end
-        at = draw(st.integers(0, len(data)))
+    if fault == "utf8":  # anywhere, at a seam of the decoder's 8 KiB reads, or at the end
+        seams = [at for k in (1, 2, 3) for at in range(8192 * k - 4, 8192 * k + 4)
+                 if at < len(data)]
+        at = draw(st.integers(0, len(data)) | st.sampled_from([*seams, len(data)]))
         data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
     return (data, draw(st.sampled_from([1, 2, 3, 5, 8, None])),
             draw(st.sampled_from([1, 2, None])), draw(st.sampled_from([2, 5, 9, None])), width)
